@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -21,7 +22,7 @@ import mpmath
 
 from . import __version__
 from . import frequencies
-from .balls import PrecisionContext, RealBall
+from .balls import PrecisionContext, RealBall, mpf_to_fraction
 from .cyclotomic import scaled_exponents, verify_u_relation
 from .linalg import S_SPACE, U_SPACE, form_from_json, form_to_json, rat_to_str
 from .relations import UnsupportedModulus, phi_forward, phi_inverse, u_basis
@@ -38,13 +39,31 @@ class UsageError(ValueError):
 
 
 def ball_to_json(b: RealBall) -> dict:
+    """A ball as decimal strings that still enclose its value.
+
+    The midpoint is printed to about b.prec bits; the printed radius covers
+    the ball's radius plus that printing error, rounded up.
+    """
     digits = max(2, int(b.prec * 0.30103) + 2)
-    rad = b.rad if b.rad == 0 else mpmath.fmul(b.rad, mpmath.mpf("1.0001"), prec=53, rounding="u")
-    return {
-        "mid": mpmath.nstr(b.mid, digits),
-        "rad": mpmath.nstr(rad, 4),
-        "bits": b.prec,
-    }
+    mid = mpmath.nstr(b.mid, digits)
+    bound = mpf_to_fraction(b.rad) + abs(Fraction(mid) - mpf_to_fraction(b.mid))
+    return {"mid": mid, "rad": decimal_up(bound, 4), "bits": b.prec}
+
+
+def decimal_up(q: Fraction, sig: int) -> str:
+    """The least decimal with sig significant digits that is >= q >= 0."""
+    if q == 0:
+        return "0.0"
+    # q >= 2^(bits - 1), so this k makes n >= 10^sig; raise k until n has
+    # exactly sig digits
+    bits = q.numerator.bit_length() - q.denominator.bit_length()
+    k = math.floor((bits - 1) * math.log10(2)) - sig
+    n = math.ceil(q / Fraction(10) ** k)
+    while n >= 10**sig:
+        k += 1
+        n = math.ceil(q / Fraction(10) ** k)
+    s = str(n)
+    return f"{s[0]}.{s[1:]}e{k + sig - 1}"
 
 
 def _warn(warnings: list, message: str):
@@ -121,7 +140,7 @@ def cmd_verify(args, warnings) -> tuple[dict, bool]:
 
 
 def cmd_express(args, warnings) -> dict:
-    table = express_dependents(args.m, precision=args.prec, bound=args.bound)
+    table = express_dependents(args.m)
     if not table.trailing_ok:
         _warn(warnings, f"pivots at m={args.m} are not the leading columns")
     payload = table.to_json()
@@ -146,7 +165,7 @@ def cmd_discover(args, warnings) -> dict:
 
 
 def cmd_scan(args, warnings) -> dict:
-    rows = scan_range(args.range_from, args.range_to, args.prec, args.bound)
+    rows = scan_range(args.range_from, args.range_to)
     return {"from": args.range_from, "to": args.range_to, "rows": [r.to_json() for r in rows]}
 
 
@@ -286,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("express", help="dependent S-values over the trailing basis")
     common(p)
-    p.add_argument("--bound", type=int, default=10**6, help="discovery coefficient bound")
     p.set_defaults(func=cmd_express)
 
     p = sub.add_parser("discover", help="LLL-based certified relation discovery")
@@ -298,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, need_m=False)
     p.add_argument("--from", dest="range_from", type=int, required=True)
     p.add_argument("--to", dest="range_to", type=int, required=True)
-    p.add_argument("--bound", type=int, default=10**6, help="discovery coefficient bound")
     p.set_defaults(func=cmd_scan)
 
     return parser

@@ -1,5 +1,6 @@
 """Constructive relation machinery: index reduction, the S/U change of
-coordinates, and the explicit relation bases for the covered modulus shapes.
+coordinates, the explicit relation bases for the covered modulus shapes, and
+the cyclotomic-identity basis for every modulus.
 
 Conventions, fixed once for the whole package:
 
@@ -13,12 +14,13 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .intmath import factorize, is_prime
-from .linalg import LinearForm, S_SPACE, U_SPACE
+from .linalg import LinearForm, RationalMatrix, S_SPACE, U_SPACE, rref
 
 
 class UnsupportedModulus(ValueError):
@@ -61,7 +63,7 @@ class RelationBasis:
     m: int
     space: str
     forms: tuple[LinearForm, ...]
-    provenance: str  # "constructed" | "discovered"
+    provenance: str  # "constructed" | "identities" | "discovered"
 
 
 def k_red(m: int, k: int) -> int:
@@ -291,8 +293,81 @@ def u_basis(m: int) -> RelationBasis:
     if prof.case == CASE_TWO_TIMES_PRIME:
         return two_p_u_basis(prof.factorization[1][0])
     raise UnsupportedModulus(
-        f"no constructed basis for m = {m} ({prof.case}); use solver.discover_relations"
+        f"no constructed basis for m = {m} ({prof.case}); use identity_u_basis "
+        "(or discover_relations for a numeric search)"
     )
+
+
+def identity_u_basis(m: int) -> RelationBasis:
+    """Basis of the relation space for any m >= 4, from cyclotomic identities.
+
+    With x_a = log|1 - zeta_m^a| = log(2 sin(pi a/m)), so that x_a = x_{m-a}
+    and U_k = (x_k - x_1)/ln 2, the x_a satisfy
+
+    * distribution: sum_{j<d} x_{b + j m/d} = x_{bd} for d | m, d > 1 and
+      1 <= b < m/d, the logarithm of prod_{y^d = z} (1 - y) = 1 - z.  Only
+      prime d are generated: the identity for d = d1 d2 is the sum of the
+      d1-identities over the d2-th roots w of z, chained with the
+      d2-identity, and none of those w is 1;
+    * norm: sum_{1<=a<q, p∤a} x_{a m/q} = log p for each prime power q = p^k
+      dividing m, the logarithm of Phi_q(1) = p.
+
+    Exact elimination with one log p column per prime p | m ahead of the
+    columns x_1..x_{m'} leaves, in the rows pivoting on an x column, a basis
+    of the identities free of every log p.  Their intersection with the
+    hyperplane "coefficients sum to 0", with x_1 dropped, is the U-relation
+    space.  By the rational form of Bass's theorem (Bass 1966; Washington,
+    Introduction to Cyclotomic Fields, ch. 8) these identities span every
+    Q-linear relation among the x_a, so the basis is complete, not only
+    sound.  Each form is scaled to coprime integer coefficients.
+    """
+    if m < 4:
+        raise ValueError("relation bases need m >= 4")
+    half = m // 2
+    fact = factorize(m)
+    nlog = len(fact)
+
+    def col(a: int) -> int:
+        return nlog + k_red(m, a) - 1
+
+    rows = []
+    for d, _ in fact:
+        step = m // d
+        for b in range(1, step):
+            row = [0] * (nlog + half)
+            for j in range(d):
+                row[col(b + j * step)] += 1
+            row[col(b * d)] -= 1
+            rows.append(row)
+    for i, (p, e) in enumerate(fact):
+        for k in range(1, e + 1):
+            q = p**k
+            row = [0] * (nlog + half)
+            for a in range(1, q):
+                if a % p:
+                    row[col(a * (m // q))] += 1
+            row[i] -= 1
+            rows.append(row)
+    ech = rref(RationalMatrix.from_rows(rows, cols=nlog + half))
+    xrels = [
+        ech.matrix.entries[i][nlog:] for i, c in enumerate(ech.pivots) if c >= nlog
+    ]
+    # intersect with sum(v) = 0 by clearing the sums against one row
+    sums = [sum(v) for v in xrels]
+    lead = next((i for i, s in enumerate(sums) if s != 0), None)
+    if lead is not None:
+        xrels = [
+            [a - sums[i] / sums[lead] * b for a, b in zip(v, xrels[lead])]
+            for i, v in enumerate(xrels)
+            if i != lead
+        ]
+    forms = []
+    for v in xrels:
+        scale = math.lcm(*(c.denominator for c in v))
+        ints = [int(c * scale) for c in v[1:]]
+        g = math.gcd(*ints)
+        forms.append(LinearForm(U_SPACE, m, tuple(c // g for c in ints)))
+    return RelationBasis(m, U_SPACE, tuple(forms), "identities")
 
 
 def closed_form_count(m: int) -> int | None:

@@ -1,8 +1,15 @@
 """Relation-space linear algebra: elimination tables, dimensions, discovery.
 
-Discovery builds the classical integer-relation lattice over the values
-U_2..U_m' scaled by 2^(P-64), LLL-reduces it, and treats short rows as
-candidate integer relations.  A candidate is accepted only when the exact
+Elimination tables, the dimension check and the scan take their relations
+from `relation_basis`: the constructed basis for the covered shapes and the
+cyclotomic-identity basis otherwise.  Both are exact and complete, so the
+t they report is the dimension of the span, with no numerics involved.
+
+Discovery (`discover_relations`, behind `symfreq discover`) is an
+independent numeric route to the same relation spaces.  It builds the
+classical integer-relation lattice over the values U_2..U_m' scaled by
+2^(P-64), LLL-reduces it, and treats short rows as candidate integer
+relations.  A candidate is accepted only when the exact
 cyclotomic certificate confirms it; numerics alone never admit a relation.
 Accepted relations are filtered to an independent set, the found pivots are
 projected out, and the search repeats on the remaining coordinates until a
@@ -28,6 +35,7 @@ from .relations import (
     RelationBasis,
     UnsupportedModulus,
     closed_form_count,
+    identity_u_basis,
     modulus_profile,
     phi_forward,
     u_basis,
@@ -37,6 +45,19 @@ from .relations import (
 def s_relation_basis(m: int) -> list[LinearForm]:
     """Constructed S-space relation basis: the image of the U-basis."""
     return [phi_forward(f) for f in u_basis(m).forms]
+
+
+def relation_basis(m: int) -> RelationBasis:
+    """Exact relation basis for any m >= 4.
+
+    The constructed basis for the covered shapes (it fixes the golden table
+    layouts and is the cheaper of the two), the cyclotomic-identity basis
+    otherwise; the provenance says which.
+    """
+    try:
+        return u_basis(m)
+    except UnsupportedModulus:
+        return identity_u_basis(m)
 
 
 def closed_form_dimension(m: int) -> int | None:
@@ -95,32 +116,22 @@ class ExpressionTable:
         return "\n".join(lines)
 
 
-def express_dependents(
-    m: int,
-    sforms: list[LinearForm] | None = None,
-    method: str | None = None,
-    precision: int = 256,
-    bound: int = 10**6,
-) -> ExpressionTable:
+def express_dependents(m: int, sforms: list[LinearForm] | None = None) -> ExpressionTable:
     """Eliminate the S-relation matrix and express dependent S-values.
 
-    Uses the constructed basis when the modulus shape is covered, otherwise
-    falls back to certified discovery.  The table is always produced from the
-    actual pivots; trailing_ok flags whether they were the leading columns.
+    Without sforms the relations come from relation_basis(m) and the method
+    is its provenance; given sforms, the method is "provided".  The table is
+    always produced from the actual pivots; trailing_ok flags whether they
+    were the leading columns.
     """
     if m < 4:
         raise ValueError("expression tables need m >= 4")
     half = m // 2
+    method = "provided"
     if sforms is None:
-        try:
-            sforms = s_relation_basis(m)
-            method = "constructed"
-        except UnsupportedModulus:
-            report = discover_relations(m, precision, bound)
-            sforms = [phi_forward(f) for f in report.basis.forms]
-            method = "discovered"
-    if method is None:
-        method = "provided"
+        basis = relation_basis(m)
+        sforms = [phi_forward(f) for f in basis.forms]
+        method = basis.provenance
     if not sforms:
         return ExpressionTable(m, half - 1, (), True, method)
     result = rref(stack_forms(sforms))
@@ -289,26 +300,21 @@ class ConjectureRecord:
         }
 
 
-def conjecture_check(m: int, precision: int = 256, bound: int = 10**6) -> ConjectureRecord:
+def conjecture_check(m: int) -> ConjectureRecord:
     """Compare the span dimension t against phi(m)/2 - 1 + omega(m).
 
-    For covered shapes t comes from the closed-form count; otherwise from
-    certified discovery, where the verified relation count bounds the
-    relation-space dimension from below exactly and therefore the reported
-    t bounds the true span dimension from above (equality unless a relation
-    escaped the scan).  Prime m is flagged as outside the formula's scope:
-    there t = (p-3)/2.
+    t = m' - 1 - dim, where dim is the size of relation_basis(m): an exact,
+    complete basis of the relation space, so t is the span dimension itself
+    for every m.  Prime m is flagged as outside the formula's scope: there
+    t = (p-3)/2.
     """
     prof = modulus_profile(m)
-    dim = closed_form_dimension(m)
-    if dim is not None:
-        method = "constructed"
-    else:
-        dim = len(discover_relations(m, precision, bound).basis.forms)
-        method = "discovered"
-    t = (m // 2 - 1) - dim
+    basis = relation_basis(m)
+    t = (m // 2 - 1) - len(basis.forms)
     formula = euler_phi(m) // 2 - 1 + len(prof.factorization)
-    return ConjectureRecord(m, t, formula, t == formula, method, prof.case != CASE_PRIME)
+    return ConjectureRecord(
+        m, t, formula, t == formula, basis.provenance, prof.case != CASE_PRIME
+    )
 
 
 @dataclass(frozen=True)
@@ -335,20 +341,14 @@ class ScanRow:
         }
 
 
-def scan_range(lo: int, hi: int, precision: int = 256, bound: int = 10**6) -> list[ScanRow]:
+def scan_range(lo: int, hi: int) -> list[ScanRow]:
     """Per-modulus dimension and trailing-basis report over a range."""
     if lo < 4 or hi < lo:
         raise ValueError("scan needs 4 <= from <= to")
     out = []
     for m in range(lo, hi + 1):
         prof = modulus_profile(m)
-        try:
-            forms = list(u_basis(m).forms)
-            method = "constructed"
-        except UnsupportedModulus:
-            forms = list(discover_relations(m, precision, bound).basis.forms)
-            method = "discovered"
-        table = express_dependents(m, sforms=[phi_forward(f) for f in forms], method=method)
+        table = express_dependents(m)
         formula = euler_phi(m) // 2 - 1 + len(prof.factorization)
         applies = prof.case != CASE_PRIME
         out.append(
@@ -360,7 +360,7 @@ def scan_range(lo: int, hi: int, precision: int = 256, bound: int = 10**6) -> li
                 applies,
                 table.t == formula,
                 table.trailing_ok,
-                method,
+                table.method,
             )
         )
     return out

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import mpmath
 
-from symfreq.cli import EXIT_OK, EXIT_UNSUPPORTED, EXIT_USAGE, EXIT_VERIFY_FAILED
+from symfreq.cli import EXIT_OK, EXIT_UNSUPPORTED, EXIT_USAGE, EXIT_VERIFY_FAILED, decimal_up
 from symfreq.linalg import form_to_json
 from symfreq.relations import u_basis
 from symfreq.solver import s_relation_basis
@@ -33,6 +34,48 @@ class TestFreq:
         code, doc = run_cli_json("freq", "--m", "12", "--kind", "U", "--prec", "128")
         assert code == EXIT_OK
         assert [v["index"] for v in doc["payload"]["values"]] == list(range(1, 7))
+
+    @staticmethod
+    def reference(kind, m, i):
+        # mpmath at the working precision of the caller, from the closed forms
+        def s(k):
+            return mpmath.sin(mpmath.pi * k / m)
+
+        if kind == "H":
+            lg = mpmath.loggamma
+            v = lg(mpmath.mpf(i) / m) + lg(mpmath.mpf(i + 2) / m) - 2 * lg(mpmath.mpf(i + 1) / m)
+        elif kind == "S":
+            half = m // 2
+            if i == half - 1:
+                v = mpmath.log(s(half) / s(half - 1))
+            else:
+                v = mpmath.log(s(i + 1) ** 2 / (s(i) * s(i + 2)))
+        else:
+            v = mpmath.log(s(i) / s(1))
+        return v / mpmath.log(2)
+
+    def test_printed_ball_contains_reference(self, run_cli_json):
+        # the printed mid is a decimal rounding of the ball's midpoint; the
+        # printed rad must cover that rounding as well as the ball's radius
+        cases = (("H", 7, 3), ("H", 200, 137), ("S", 30, 4), ("S", 41, 19), ("U", 61, 17), ("U", 9, 2))
+        for kind, m, i in cases:
+            code, doc = run_cli_json(
+                "freq", "--m", str(m), "--kind", kind, "--index", str(i), "--prec", "1024"
+            )
+            assert code == EXIT_OK
+            ball = doc["payload"]["values"][0]["value"]
+            with mpmath.workprec(2048):
+                ref = self.reference(kind, m, i)
+                mid, rad = mpmath.mpf(ball["mid"]), mpmath.mpf(ball["rad"])
+                assert abs(ref - mid) <= rad, (kind, m, i)
+                assert rad <= mpmath.ldexp(1, -1000) * max(1, abs(ref)), (kind, m, i)
+
+    def test_decimal_up(self):
+        assert decimal_up(Fraction(0), 4) == "0.0"
+        assert decimal_up(Fraction(1), 4) == "1.000e0"
+        assert decimal_up(Fraction(1, 3), 4) == "3.334e-1"
+        assert decimal_up(Fraction(99995, 10000), 4) == "1.000e1"
+        assert decimal_up(Fraction(2) ** -3500, 4) == "2.484e-1054"
 
     def test_index_out_of_range(self, run_cli, capsys):
         code, _ = run_cli("freq", "--m", "12", "--kind", "S", "--index", "6")
@@ -142,6 +185,13 @@ class TestExpressAndScan:
             assert r["trailing_basis_ok"]
             if r["formula_applies"]:
                 assert r["match"]
+
+    def test_scan_63(self, run_cli_json):
+        # 63 = 9 * 7 has no constructed basis; the identity engine answers
+        code, doc = run_cli_json("scan", "--from", "63", "--to", "63")
+        assert code == EXIT_OK
+        (row,) = doc["payload"]["rows"]
+        assert row["t"] == 19 and row["match"] and row["method"] == "identities"
 
     def test_scan_bad_range(self, run_cli):
         code, _ = run_cli("scan", "--from", "3", "--to", "10")

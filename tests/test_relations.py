@@ -19,6 +19,7 @@ from symfreq.relations import (
     c_set,
     closed_form_count,
     hset,
+    identity_u_basis,
     k_red,
     modulus_profile,
     phi_forward,
@@ -29,7 +30,7 @@ from symfreq.relations import (
     two_p_u_basis,
     u_basis,
 )
-from symfreq.intmath import is_prime
+from symfreq.intmath import euler_phi, factorize, is_prime
 
 
 def u_form(m, coeffs):
@@ -285,6 +286,60 @@ class TestShortSRelation:
             if r is None:
                 continue
             assert verify_u_relation(m, phi_inverse(r)), m
+
+
+def same_span(a, b):
+    a, b = list(a), list(b)
+    ra = rref(stack_forms(a)).rank if a else 0
+    rb = rref(stack_forms(b)).rank if b else 0
+    if not a or not b:
+        return ra == rb == 0
+    return ra == rb == rref(stack_forms(a + b)).rank
+
+
+class TestIdentityBasis:
+    def test_span_equals_constructed_to_100(self):
+        covered = 0
+        for m in range(4, 101):
+            try:
+                constructed = u_basis(m).forms
+            except UnsupportedModulus:
+                continue
+            assert same_span(identity_u_basis(m).forms, constructed), m
+            covered += 1
+        assert covered > 60
+
+    def test_dimension_formula_composites_to_100(self):
+        for m in range(4, 101):
+            if is_prime(m):
+                continue
+            forms = identity_u_basis(m).forms
+            t = (m // 2 - 1) - len(forms)
+            assert t == euler_phi(m) // 2 - 1 + len(factorize(m)), m
+
+    def test_independent_coprime_integer_forms(self):
+        for m in (12, 30, 45, 60):
+            basis = identity_u_basis(m)
+            assert basis.provenance == "identities" and basis.space == U_SPACE
+            assert rref(stack_forms(basis.forms)).rank == len(basis.forms)
+            for f in basis.forms:
+                assert all(c.denominator == 1 for c in f.coeffs)
+                assert gcd(*(int(c) for c in f.coeffs)) == 1
+
+    def test_relations_certified(self):
+        for m in (12, 42, 60):
+            forms = identity_u_basis(m).forms
+            assert forms
+            for f in forms:
+                assert verify_u_relation(m, f), (m, f)
+
+    def test_primes_empty(self):
+        for m in (5, 7, 31):
+            assert identity_u_basis(m).forms == ()
+
+    def test_small_m_rejected(self):
+        with pytest.raises(ValueError):
+            identity_u_basis(3)
 
 
 class TestUBasisDispatch:

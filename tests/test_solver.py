@@ -6,7 +6,15 @@ from symfreq.balls import PrecisionContext
 from symfreq.cyclotomic import verify_u_relation
 from symfreq.frequencies import evaluate_form
 from symfreq.linalg import LinearForm, S_SPACE, U_SPACE, form_scale, form_add, rref, stack_forms
-from symfreq.relations import UnsupportedModulus, phi_inverse, short_s_relation, u_basis
+from symfreq import solver
+from symfreq.relations import (
+    UnsupportedModulus,
+    identity_u_basis,
+    phi_forward,
+    phi_inverse,
+    short_s_relation,
+    u_basis,
+)
 from symfreq.solver import (
     closed_form_dimension,
     conjecture_check,
@@ -124,9 +132,22 @@ class TestExpress:
         assert text.splitlines()[6] == "S7 = S14 + 2*S15"
 
     def test_discovered_fallback(self):
+        # outside the covered shapes the relations come from the identity
+        # engine; certified discovery must find the same span
         table = express_dependents(12)
-        assert table.method == "discovered"
+        assert table.method == "identities"
         assert table.t == 3 and table.trailing_ok
+        assert same_span(identity_u_basis(12).forms, discover_relations(12, 512).basis.forms)
+
+    def test_identities_match_discovery(self):
+        for m in (12, 18, 20, 24):
+            found = discover_relations(m, 512).basis.forms
+            assert same_span(identity_u_basis(m).forms, found), m
+            table = express_dependents(m)
+            assert table.method == "identities"
+            assert table_as_dicts(table) == table_as_dicts(
+                express_dependents(m, sforms=[phi_forward(f) for f in found])
+            ), m
 
 
 class TestClosedFormDimension:
@@ -215,7 +236,10 @@ class TestConjecture:
 
     def test_general_discovered(self):
         rec = conjecture_check(12)
-        assert rec.method == "discovered" and rec.t == 3 and rec.match
+        assert rec.method == "identities" and rec.t == 3 and rec.match
+        found = discover_relations(12, 512).basis.forms
+        assert same_span(identity_u_basis(12).forms, found)
+        assert rec.t == 12 // 2 - 1 - len(found)
 
 
 class TestScan:
@@ -228,6 +252,18 @@ class TestScan:
                 assert r.match, r.m
             else:
                 assert r.t == (r.m - 3) // 2  # prime rows carry (p-3)/2
+
+    def test_no_discovery_on_scan_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("discovery called on the scan path")
+
+        monkeypatch.setattr(solver, "discover_relations", refuse)
+        rows = scan_range(60, 63)
+        assert [(r.t, r.method) for r in rows] == [
+            (10, "identities"), (29, "constructed"), (16, "constructed"), (19, "identities")
+        ]
+        assert express_dependents(24).method == "identities"
+        assert conjecture_check(36).match
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
