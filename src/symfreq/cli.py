@@ -1,7 +1,8 @@
 """Command-line front end.
 
 One JSON document per invocation (or csv/text via --format), wrapped in a
-stable envelope: {"command", ..., "precision", "payload", "warnings"}.
+stable envelope: {"command", ..., "precision", "payload", "warnings"}; only
+freq, verify and discover, which take --prec, carry "precision".
 Rationals are "p/q" strings; balls are {"mid", "rad", "bits"} objects.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
@@ -280,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_m=True):
+    def common(p, need_m=True, prec=True):
         if need_m:
             p.add_argument("--m", type=int, required=True, help="modulus")
-        p.add_argument("--prec", type=int, default=256, help="ball precision in bits")
+        if prec:
+            p.add_argument("--prec", type=int, default=256, help="ball precision in bits")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p = sub.add_parser("freq", help="evaluate H, S or U values")
@@ -293,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_freq)
 
     p = sub.add_parser("basis", help="constructed relation basis")
-    common(p)
+    common(p, prec=False)
     p.add_argument("--space", choices=(U_SPACE, S_SPACE), default=U_SPACE)
     p.set_defaults(func=cmd_basis)
 
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("express", help="dependent S-values over the trailing basis")
-    common(p)
+    common(p, prec=False)
     p.set_defaults(func=cmd_express)
 
     p = sub.add_parser("discover", help="LLL-based certified relation discovery")
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_discover)
 
     p = sub.add_parser("scan", help="dimension and trailing-basis scan over a range")
-    common(p, need_m=False)
+    common(p, need_m=False, prec=False)
     p.add_argument("--from", dest="range_from", type=int, required=True)
     p.add_argument("--to", dest="range_to", type=int, required=True)
     p.set_defaults(func=cmd_scan)

@@ -6,13 +6,15 @@ ratio is an element of the cyclotomic field of conductor 2m:
 
     sin(pi*k/m)/sin(pi/m) = z^(1-k) * (1 - z^(2k)) / (1 - z^2),   z = zeta_2m,
 
-so after clearing denominators the whole check is an equality between two
-products of binomials z^a - z^b in Z[x]/Phi_2m(x).  The products are
-accumulated on circulant representatives in Z[x]/(x^n - 1), where
-multiplication is a cyclic convolution done by Kronecker substitution (one
-big-integer multiply), and the two sides are compared by a single remainder
-computation mod Phi_n at the end.  Since Phi_n divides x^n - 1, equality of
-the circulant representatives mod Phi_n is equality in the field.
+so after clearing denominators the whole check is an equality A = B between
+two products of binomials z^a - z^b in Z[z].  It is decided by evaluation at
+split primes: for a prime p = 1 (mod 2m) and an element w of order 2m in
+F_p, each map z -> w^j with j a unit mod 2m is a ring homomorphism
+Z[z] -> F_p.  A mismatch at one of them disproves the claim; agreement at
+all of them, over primes whose product exceeds the bound 2^(M+1) on
+|A - B| under every complex embedding, proves it (M is the number of
+binomials on either side), because a nonzero A - B would then have a norm
+too large for its absolute value.  No floating point is involved.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import gcd, lcm
 
-from .intmath import divisors, euler_phi
+from .intmath import divisors, euler_phi, factorize, is_prime
 from .linalg import LinearForm, U_SPACE
 
 #: Refuse conductors whose cyclotomic polynomial degree exceeds this bound.
@@ -31,6 +33,13 @@ DEGREE_BOUND = 4096
 
 class CyclotomicDegreeError(ValueError):
     """Raised when a certificate would need a cyclotomic field of excessive degree."""
+
+
+def _check_degree(n: int):
+    if euler_phi(n) > DEGREE_BOUND:
+        raise CyclotomicDegreeError(
+            f"phi({n}) = {euler_phi(n)} exceeds the degree bound {DEGREE_BOUND}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -211,10 +220,7 @@ def sine_ratio_elem(m: int, k: int) -> CycloFraction:
     if not 1 <= k <= m // 2:
         raise ValueError(f"index k={k} out of range 1..{m // 2}")
     n = 2 * m
-    if euler_phi(n) > DEGREE_BOUND:
-        raise CyclotomicDegreeError(
-            f"phi({n}) = {euler_phi(n)} exceeds the degree bound {DEGREE_BOUND}"
-        )
+    _check_degree(n)
     a = (1 - k) % n
     num = cyclo_mul(zeta(n, a), cyclo_sub(cyclo_one(n), zeta(n, 2 * k)))
     den = cyclo_sub(cyclo_one(n), zeta(n, 2))
@@ -222,103 +228,92 @@ def sine_ratio_elem(m: int, k: int) -> CycloFraction:
 
 
 # ----------------------------------------------------------------------
-# Fast product arithmetic on circulant representatives
+# Product identities by evaluation at split primes
 
-def _pack(vec: list[int], slot: int) -> int:
-    n = 0
-    for i, x in enumerate(vec):
-        if x:
-            n += x << (i * slot)
-    return n
+#: Split primes lie in (2^61, 2^62), so each fits in one machine word.
+PRIME_BITS = 62
 
-
-def _unpack_signed(n: int, slot: int, count: int) -> list[int]:
-    # Balanced-digit recovery: each slot holds a signed value of magnitude
-    # < 2^(slot-1); borrows propagate upward.
-    base = 1 << slot
-    half = base >> 1
-    mask = base - 1
-    out = []
-    for _ in range(count):
-        d = n & mask
-        n >>= slot
-        if d >= half:
-            d -= base
-            n += 1
-        out.append(d)
-    if n != 0:
-        raise ArithmeticError("Kronecker unpacking left a nonzero carry")
-    return out
+# conductor n -> [(p, w), ...], the split primes found so far, descending
+_SPLIT_PRIMES: dict[int, list[tuple[int, int]]] = {}
 
 
-def _cyclic_mul(u: list[int], v: list[int], n: int) -> list[int]:
-    """Product of u and v in Z[x]/(x^n - 1) via Kronecker substitution."""
-    mu = max(map(abs, u), default=0)
-    mv = max(map(abs, v), default=0)
-    if mu == 0 or mv == 0:
-        return [0] * n
-    slot = mu.bit_length() + mv.bit_length() + n.bit_length() + 3
-    conv = _unpack_signed(_pack(u, slot) * _pack(v, slot), slot, 2 * n)
-    out = conv[:n]
-    for i in range(n, 2 * n):
-        if conv[i]:
-            out[i - n] += conv[i]
-    return out
+def _root_of_unity(n: int, p: int) -> int:
+    """An element of exact multiplicative order n in F_p, for a prime p = 1 (mod n)."""
+    cofactor = (p - 1) // n
+    for x in range(2, p):
+        w = pow(x, cofactor, p)
+        if all(pow(w, n // q, p) != 1 for q, _ in factorize(n)):
+            return w
+    raise ArithmeticError(f"no element of order {n} mod {p}")
 
 
-def _binomial_power_vec(n: int, a: int, b: int, e: int) -> list[int]:
-    """(x^a - x^b)^e as a circulant vector of length n."""
-    out = [0] * n
-    if e == 0:
-        out[0] = 1
-        return out
-    # (x^a - x^b)^e = sum_i C(e,i) (-1)^i x^(a(e-i) + b*i)
-    for i in range(e + 1):
-        idx = (a * (e - i) + b * i) % n
-        c = comb(e, i)
-        out[idx] += -c if i & 1 else c
-    return out
+def split_primes(n: int, bits: int) -> list[tuple[int, int]]:
+    """Pairs (p, w) with p = 1 (mod n) prime and w of exact order n mod p.
+
+    The primes are the largest below 2^62 in that residue class, each proven
+    prime by `is_prime`; enough are returned that their product exceeds
+    2^bits.  Such a p splits completely in Q(zeta_n) (Washington, ch. 2): the
+    prime ideals above it are the kernels of z -> w^j, Z[zeta_n] -> F_p, one
+    for each j in (Z/n)^*.  The pairs are cached per conductor.
+    """
+    count = max(1, -(-bits // (PRIME_BITS - 1)))  # each prime exceeds 2^61
+    primes = _SPLIT_PRIMES.setdefault(n, [])
+    p = primes[-1][0] - n if primes else ((1 << PRIME_BITS) - 2) // n * n + 1
+    while len(primes) < count:
+        if p <= 1 << (PRIME_BITS - 1):
+            raise ArithmeticError(f"too few split primes for conductor {n}")
+        if is_prime(p):
+            primes.append((p, _root_of_unity(n, p)))
+        p -= n
+    return primes[:count]
 
 
-def _product_vec(n: int, factors: list[tuple[int, int, int]]) -> list[int]:
-    acc = [0] * n
-    acc[0] = 1
-    for a, b, e in factors:
-        if e:
-            acc = _cyclic_mul(acc, _binomial_power_vec(n, a, b, e), n)
-    return acc
+def _products_agree(n: int, twist: int, left, right, units) -> bool:
+    """Whether z^twist * prod(left) = prod(right) in Z[z], z = zeta_n.
 
-
-def _divisible_by_cyclotomic(vec: list[int], n: int) -> bool:
-    rem = list(vec)
-    phi = cyclotomic_poly(n)
-    deg = len(phi) - 1
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            rem[i] = 0
-            base = i - deg
-            for j in range(deg):
-                if phi[j]:
-                    rem[base + j] -= c * phi[j]
-    return not any(rem[:deg])
+    `left` and `right` hold (a, b, e) for factors (z^a - z^b)^e with e >= 0.
+    Both sides are evaluated at z -> w^j mod p for each j in `units` and each
+    split prime p, with non-negative exponents only.  Each factor has
+    absolute value at most 2 under every complex embedding, so with
+    M = max(sum of left e, sum of right e) the difference D of the two sides
+    satisfies |N(D)| <= 2^((M+1)phi(n)).  A mismatch at one root proves
+    D != 0.  Agreement at every j of a prime p puts D in every prime ideal
+    above p, hence in pZ[z]; over primes whose product P exceeds 2^(M+1),
+    D lies in PZ[z], so a nonzero D would have |N(D)| >= P^phi(n), which is
+    too large: D = 0.  `units` is all of (Z/n)^*, or one j of each pair
+    {j, -j} when complex conjugation maps D to a root of unity times D: then
+    D vanishes at w^j iff it vanishes at w^(-j).
+    """
+    left = list(left)
+    right = list(right)
+    mass = max(sum(e for *_, e in left), sum(e for *_, e in right))
+    for p, w in split_primes(n, mass + 1):
+        powers = [1] * n
+        for i in range(1, n):
+            powers[i] = powers[i - 1] * w % p
+        for j in units:
+            lhs = powers[twist * j % n]
+            for a, b, e in left:
+                lhs = lhs * pow(powers[a * j % n] - powers[b * j % n], e, p) % p
+            rhs = 1
+            for a, b, e in right:
+                rhs = rhs * pow(powers[a * j % n] - powers[b * j % n], e, p) % p
+            if lhs != rhs:
+                return False
+    return True
 
 
 def binomial_products_equal(n: int, left, right) -> bool:
     """Whether two products of (zeta_n^a - zeta_n^b)^e factors coincide in Q(zeta_n).
 
     `left` and `right` are iterables of (a, b, e) with e >= 0.  The check is
-    exact: both sides are expanded over Z[x]/(x^n - 1) and compared modulo
-    Phi_n.
+    exact: both sides are compared at all phi(n) primitive n-th roots of
+    unity modulo split primes whose product exceeds the norm bound (see
+    `_products_agree`).
     """
-    if euler_phi(n) > DEGREE_BOUND:
-        raise CyclotomicDegreeError(
-            f"phi({n}) = {euler_phi(n)} exceeds the degree bound {DEGREE_BOUND}"
-        )
-    lv = _product_vec(n, list(left))
-    rv = _product_vec(n, list(right))
-    diff = [x - y for x, y in zip(lv, rv)]
-    return _divisible_by_cyclotomic(diff, n)
+    _check_degree(n)
+    units = [j for j in range(n) if gcd(j, n) == 1]
+    return _products_agree(n, 0, left, right, units)
 
 
 def signed_products_equal(n: int, lhs, rhs) -> bool:
@@ -330,16 +325,9 @@ def signed_products_equal(n: int, lhs, rhs) -> bool:
     """
     left: list[tuple[int, int, int]] = []
     right: list[tuple[int, int, int]] = []
-    for a, b, e in lhs:
-        if e >= 0:
-            left.append((a, b, e))
-        else:
-            right.append((a, b, -e))
-    for a, b, e in rhs:
-        if e >= 0:
-            right.append((a, b, e))
-        else:
-            left.append((a, b, -e))
+    for factors, same, other in ((lhs, left, right), (rhs, right, left)):
+        for a, b, e in factors:
+            (same if e >= 0 else other).append((a, b, abs(e)))
     return binomial_products_equal(n, left, right)
 
 
@@ -351,47 +339,49 @@ def scaled_exponents(form: LinearForm) -> tuple[int, dict[int, int]]:
     """Clear denominators of a form: (lcm L, {index: integer coefficient})."""
     items = form.items()
     scale = lcm(*(c.denominator for _, c in items)) if items else 1
-    return scale, {k: int(c * scale) for k, c in items}
+    return scale, {k: c.numerator * (scale // c.denominator) for k, c in items}
 
 
 def verify_u_relation(m: int, form: LinearForm) -> bool:
     """Exact certificate for a claimed relation among the m-modulus log-sine values.
 
     The coefficients are scaled by the lcm of their denominators to integers
-    e_k; the relation holds iff prod_k ratio_k^(e_k) = 1, which is decided by
-    the cross-multiplied product identity in Q(zeta_2m).  Returns True iff the
-    relation is exactly valid.
+    e_k; the relation holds iff prod_k ratio_k^(e_k) = 1.  With z = zeta_2m,
+    n = 2m, S = sum e_k and ratio_k = z^(1-k) (1 - z^(2k)) / (1 - z^2), that
+    is the identity A = B between
+
+        A = z^(sum e_k (1-k)) * prod_{e_k>0} (1 - z^(2k))^(e_k) * (1 - z^2)^max(-S, 0),
+        B = prod_{e_k<0} (1 - z^(2k))^(-e_k) * (1 - z^2)^max(S, 0),
+
+    each a product of M = max(sum of positive e_k, sum of |negative e_k|)
+    binomials times a root of unity.  It is decided exactly at split primes
+    (see `_products_agree`), at the j in (Z/n)^* with j < m only.  That
+    suffices because A/B is real: up to one root of unity common to A and B,
+    both are products of M binomials z^(1-k) - z^(1+k) and 1 - z^2, each
+    z^a - z^b with a + b = 2 (mod n), which complex conjugation sends to
+    -z^(-2) times itself.  So conjugation maps A - B to a root of unity times
+    A - B, and A - B vanishes at w^j iff it vanishes at w^(-j).  Returns True
+    iff the relation is exactly valid.
     """
     if form.space != U_SPACE:
         raise ValueError("verify_u_relation expects a U-space form")
     if form.m != m:
         raise ValueError(f"form has modulus {form.m}, expected {m}")
     n = 2 * m
-    if euler_phi(n) > DEGREE_BOUND:
-        raise CyclotomicDegreeError(
-            f"phi({n}) = {euler_phi(n)} exceeds the degree bound {DEGREE_BOUND}"
-        )
+    _check_degree(n)
     _, exps = scaled_exponents(form)
     if not exps:
         return True
-    left: list[tuple[int, int, int]] = []
-    right: list[tuple[int, int, int]] = []
-    den_left = 0
-    den_right = 0
-    for k, e in exps.items():
-        a = (1 - k) % n
-        b = (a + 2 * k) % n
-        if e > 0:
-            left.append((a, b, e))
-            den_right += e
-        else:
-            right.append((a, b, -e))
-            den_left += -e
-    if den_left:
-        left.append((0, 2, den_left))
-    if den_right:
-        right.append((0, 2, den_right))
-    return binomial_products_equal(n, left, right)
+    twist = sum(e * (1 - k) for k, e in exps.items()) % n
+    total = sum(exps.values())
+    left = [(0, 2 * k % n, e) for k, e in exps.items() if e > 0]
+    right = [(0, 2 * k % n, -e) for k, e in exps.items() if e < 0]
+    if total < 0:
+        left.append((0, 2, -total))
+    elif total > 0:
+        right.append((0, 2, total))
+    units = [j for j in range(1, m) if gcd(j, n) == 1]
+    return _products_agree(n, twist, left, right, units)
 
 
 def embed_complex(elem: CycloElement, prec: int = 64):

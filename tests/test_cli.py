@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from symfreq.cli import EXIT_OK, EXIT_UNSUPPORTED, EXIT_USAGE, EXIT_VERIFY_FAILED, decimal_up
 from symfreq.linalg import form_to_json
@@ -177,7 +178,7 @@ class TestExpressAndScan:
         }
 
     def test_scan_range(self, run_cli_json):
-        code, doc = run_cli_json("scan", "--from", "4", "--to", "12", "--prec", "256")
+        code, doc = run_cli_json("scan", "--from", "4", "--to", "12")
         assert code == EXIT_OK
         rows = doc["payload"]["rows"]
         assert [r["m"] for r in rows] == list(range(4, 13))
@@ -196,6 +197,15 @@ class TestExpressAndScan:
     def test_scan_bad_range(self, run_cli):
         code, _ = run_cli("scan", "--from", "3", "--to", "10")
         assert code == EXIT_USAGE
+
+    def test_no_precision_where_no_balls(self, run_cli, run_cli_json):
+        # basis, express and scan are exact; they take no --prec and report none
+        for argv in (("basis", "--m", "27"), ("express", "--m", "27"), ("scan", "--from", "4", "--to", "6")):
+            code, doc = run_cli_json(*argv)
+            assert code == EXIT_OK and "precision" not in doc
+        with pytest.raises(SystemExit) as exc:
+            run_cli("scan", "--from", "4", "--to", "6", "--prec", "256")
+        assert exc.value.code == EXIT_USAGE
 
 
 class TestDiscover:

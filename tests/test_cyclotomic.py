@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import prod
 
 import mpmath
 import pytest
@@ -7,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from symfreq.cyclotomic import (
     CycloFraction,
     CyclotomicDegreeError,
-    _binomial_power_vec,
-    _cyclic_mul,
+    binomial_products_equal,
     cyclo_add,
     cyclo_element,
     cyclo_mul,
@@ -20,12 +20,14 @@ from symfreq.cyclotomic import (
     scaled_exponents,
     signed_products_equal,
     sine_ratio_elem,
+    split_primes,
     verify_u_relation,
     zeta,
 )
-from symfreq.intmath import divisors, euler_phi, factorize
+from symfreq import cyclotomic
+from symfreq.intmath import divisors, euler_phi, factorize, is_prime
 from symfreq.linalg import LinearForm, U_SPACE
-from symfreq.relations import u_basis
+from symfreq.relations import identity_u_basis, u_basis
 
 
 class TestCyclotomicPoly:
@@ -95,42 +97,43 @@ class TestElementArithmetic:
         assert zeta(10, 13) == zeta(10, 3)
 
 
-small_ints = st.integers(min_value=-9, max_value=9)
+def _mass(form):
+    # M = max(sum of positive, sum of |negative|) scaled exponents
+    _, exps = scaled_exponents(form)
+    return max(sum(e for e in exps.values() if e > 0), -sum(e for e in exps.values() if e < 0))
 
 
-class TestKronecker:
-    @given(
-        st.integers(min_value=1, max_value=10),
-        st.data(),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_cyclic_mul_vs_naive(self, n, data):
-        u = data.draw(st.lists(small_ints, min_size=n, max_size=n))
-        v = data.draw(st.lists(small_ints, min_size=n, max_size=n))
-        expect = [0] * n
-        for i, a in enumerate(u):
-            for j, b in enumerate(v):
-                expect[(i + j) % n] += a * b
-        assert _cyclic_mul(u, v, n) == expect
+class TestSplitPrimes:
+    @pytest.mark.parametrize("m", [4, 5, 27, 60, 97, 100])
+    def test_primes_and_roots(self, m):
+        n = 2 * m
+        pairs = split_primes(n, 300)
+        assert len({p for p, _ in pairs}) == len(pairs)
+        for p, w in pairs:
+            assert is_prime(p) and p % n == 1 and p < 2**62
+            # w has order exactly n: its first n powers are distinct
+            assert pow(w, n, p) == 1
+            assert len({pow(w, i, p) for i in range(n)}) == n
+        assert prod(p for p, _ in pairs) > 2**300
 
-    @given(
-        st.integers(min_value=2, max_value=16),
-        st.integers(min_value=0, max_value=15),
-        st.integers(min_value=0, max_value=15),
-        st.integers(min_value=0, max_value=8),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_binomial_power_vs_iterated(self, n, a, b, e):
-        a %= n
-        b %= n
-        base = [0] * n
-        base[a] += 1
-        base[b] -= 1
-        acc = [0] * n
-        acc[0] = 1
-        for _ in range(e):
-            acc = _cyclic_mul(acc, base, n)
-        assert _binomial_power_vec(n, a, b, e) == acc
+    def test_certificate_uses_enough_primes(self, monkeypatch):
+        calls = []
+
+        def spy(n, bits):
+            pairs = split_primes(n, bits)
+            calls.append((n, bits, pairs))
+            return pairs
+
+        monkeypatch.setattr(cyclotomic, "split_primes", spy)
+        for m in (16, 27, 35):
+            for scale in (1, 64, 1000):
+                for form in u_basis(m).forms:
+                    big = LinearForm(U_SPACE, m, tuple(scale * c for c in form.coeffs))
+                    calls.clear()
+                    assert verify_u_relation(m, big) is True
+                    ((n, bits, pairs),) = calls
+                    assert n == 2 * m and bits == _mass(big) + 1
+                    assert prod(p for p, _ in pairs) > 2**bits
 
 
 class TestSineRatio:
@@ -202,7 +205,9 @@ class TestVerify:
         with pytest.raises(CyclotomicDegreeError):
             verify_u_relation(m, LinearForm.from_map(U_SPACE, m, {2: F(1)}))
 
-    def test_agrees_with_element_route(self):
+    @given(st.sampled_from((10, 14, 16, 27)), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_element_route(self, m, data):
         # independent route through CycloElement products
         def via_elements(m, form):
             _, exps = scaled_exponents(form)
@@ -218,13 +223,27 @@ class TestVerify:
                     rhs = cyclo_mul(rhs, cyclo_pow(ratio.num, -e))
             return lhs == rhs
 
-        for m in (10, 14, 16, 27):
-            for form in u_basis(m).forms:
-                assert via_elements(m, form) and verify_u_relation(m, form)
-                bumped = list(form.coeffs)
-                bumped[1] += 1
-                pert = LinearForm(U_SPACE, m, tuple(bumped))
-                assert via_elements(m, pert) == verify_u_relation(m, pert) == False
+        forms = u_basis(m).forms
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(forms), max_size=len(forms)))
+        vec = [sum(c * f.coeffs[i] for c, f in zip(coeffs, forms)) for i in range(m // 2 - 1)]
+        form = LinearForm(U_SPACE, m, tuple(vec))
+        assert via_elements(m, form) is verify_u_relation(m, form) is True
+        vec[data.draw(st.integers(0, len(vec) - 1))] += data.draw(st.sampled_from((-1, 1)))
+        pert = LinearForm(U_SPACE, m, tuple(vec))
+        assert via_elements(m, pert) is verify_u_relation(m, pert) is False
+
+    def test_multi_prime_accept(self):
+        # M far above one prime's 61 bits, so acceptance needs many primes
+        forms = identity_u_basis(100).forms
+        vec = [64 * sum(f.coeffs[i] for f in forms) for i in range(49)]
+        form = LinearForm(U_SPACE, 100, tuple(vec))
+        assert _mass(form) > 100 * 61
+        assert verify_u_relation(100, form) is True
+        for i in range(len(vec)):
+            for d in (-1, 1):
+                bumped = list(vec)
+                bumped[i] += d
+                assert verify_u_relation(100, LinearForm(U_SPACE, 100, tuple(bumped))) is False
 
 
 def test_prime_power_product_identities():
@@ -243,3 +262,10 @@ def test_prime_power_product_identities():
                 for j in range(1, m + 1, p ** (n - 1)):
                     rhs += [(0, j % m, 1 - p**r), (0, 1, -(1 - p**r))]
                 assert signed_products_equal(m, lhs, rhs), (m, r, k)
+
+
+def test_products_equal_all_roots_verdicts():
+    # at n = 4, z = i: (1 - i)^2 = -2i = i^3 - i, while (1 - i)(1 - i^3) = 2
+    assert binomial_products_equal(4, [(0, 1, 2)], [(3, 1, 1)]) is True
+    assert binomial_products_equal(4, [(0, 1, 2)], [(0, 1, 1), (0, 3, 1)]) is False
+    assert signed_products_equal(4, [(0, 1, 1), (0, 3, 1)], [(0, 1, 2), (3, 1, -1)]) is False
