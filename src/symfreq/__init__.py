@@ -13,7 +13,7 @@ from .cyclotomic import (
     verify_u_relation,
 )
 from .frequencies import evaluate_form, h_series, h_value, s_value, u_value
-from .linalg import LinearForm, Rational, RationalMatrix, form_add, form_scale, rref
+from .linalg import LinearForm, Rational, form_add, form_scale, rref
 from .relations import (
     ModulusProfile,
     RelationBasis,
@@ -59,7 +59,6 @@ __all__ = [
     "u_value",
     "LinearForm",
     "Rational",
-    "RationalMatrix",
     "form_add",
     "form_scale",
     "rref",

@@ -1,16 +1,26 @@
-"""Exact rational linear algebra: linear forms, matrices, reduced row echelon form.
+"""Exact rational linear algebra: linear forms and the reduced row echelon form.
 
-All coefficients are `fractions.Fraction`, which keeps every value in canonical
-form (positive denominator, gcd-reduced) after each operation.  The wire format
-for a rational is the string "p/q", or just "p" when q = 1, with a leading "-"
-for negatives; this is exactly what `str(Fraction)` produces.
+Form coefficients are `fractions.Fraction`, which keeps every value in
+canonical form (positive denominator, gcd-reduced).  The wire format for a
+rational is the string "p/q", or just "p" when q = 1, with a leading "-" for
+negatives; this is exactly what `str(Fraction)` produces.
+
+`rref` is the package's one elimination routine: modular elimination, then
+rational reconstruction, then an exact check that makes the result a proof.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
+
+from .intmath import is_prime
 
 Rational = Fraction
 
@@ -132,73 +142,230 @@ def form_from_json(obj: Mapping) -> LinearForm:
     return LinearForm.from_map(space, m, coeffs)
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        ent = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
-        if len(ent) != self.rows or any(len(r) != self.cols for r in ent):
-            raise ValueError("entry grid does not match declared dimensions")
-        object.__setattr__(self, "entries", ent)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Fraction]], cols: int | None = None) -> "RationalMatrix":
-        ent = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if ent:
-            cols = len(ent[0])
-        elif cols is None:
-            cols = 0
-        return cls(len(ent), cols, ent)
-
-    def transpose(self) -> "RationalMatrix":
-        ent = tuple(tuple(self.entries[r][c] for r in range(self.rows)) for c in range(self.cols))
-        return RationalMatrix(self.cols, self.rows, ent)
-
-
 class RrefResult(NamedTuple):
-    matrix: RationalMatrix
+    rows: tuple[tuple[Fraction, ...], ...]
     pivots: tuple[int, ...]
     rank: int
 
 
-def rref(mat: RationalMatrix) -> RrefResult:
-    """Reduced row echelon form over Q.
-
-    Pivot selection is the first nonzero entry in column order; with exact
-    arithmetic no pivoting heuristics are needed and the output is the unique
-    RREF of the input.
-    """
-    rows = [list(r) for r in mat.entries]
-    nr, nc = mat.rows, mat.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return RrefResult(RationalMatrix.from_rows(rows, cols=nc), tuple(pivots), len(pivots))
+def integer_row(row: Iterable) -> list[int]:
+    """An int or Fraction row times the lcm of its denominators."""
+    row = list(row)
+    scale = math.lcm(*map(_denominator_of, row))
+    if scale == 1:
+        return list(map(_numerator_of, row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def stack_forms(forms: Iterable[LinearForm]) -> RationalMatrix:
-    """Coefficient vectors of the given forms as matrix rows."""
-    forms = list(forms)
-    if not forms:
-        return RationalMatrix.from_rows([], cols=0)
-    n = len(forms[0].coeffs)
-    if any(len(f.coeffs) != n for f in forms):
+_numerator_of = operator.attrgetter("numerator")
+_denominator_of = operator.attrgetter("denominator")
+
+
+def stack_forms(forms: Iterable[LinearForm]) -> list[tuple[Fraction, ...]]:
+    """Coefficient vectors of the given forms, as rows for `rref`."""
+    rows = [f.coeffs for f in forms]
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("forms of mixed length cannot be stacked")
-    return RationalMatrix.from_rows([f.coeffs for f in forms], cols=n)
+    return rows
+
+
+def rref(rows: Iterable[Iterable]) -> RrefResult:
+    """The reduced row echelon form over Q of rows of ints or Fractions.
+
+    Returns the unique RREF (the nonzero rows first, one per pivot, then zero
+    rows, as many as the input has) with its pivot columns.  Each row is
+    scaled to integers, and the integer matrix is reduced over Z/p for primes
+    p < 2^31, so that products of residues fit in int64.  The reduced rows of
+    all primes with the same pivots are combined by the CRT, and every row is
+    recovered by rational reconstruction with one denominator per row (von
+    zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).  The result R is
+    returned only after an exact check: R has unit pivot columns and zeros
+    left of its pivots, and every input row a equals the sum over i of
+    a[pivot_i] * R_i.  So span(input) lies in span(R), which has dimension
+    rank(R) = rank over Z/p <= rank over Q = dim span(input); the spans are
+    equal and R is the RREF.  A prime whose pivots come later than another's
+    is dropped: it divides a minor of the matrix.  Until the check passes,
+    primes are added; past the Hadamard bound, where the check cannot fail
+    for a correct reduction, ArithmeticError is raised instead.
+    """
+    ints = [integer_row(r) for r in rows]
+    if not ints:
+        return RrefResult((), (), 0)
+    ncols = len(ints[0])
+    if any(len(r) != ncols for r in ints):
+        raise ValueError("rows of mixed length")
+    try:
+        mat = np.array(ints, dtype=np.int64).reshape(len(ints), ncols)
+    except OverflowError:
+        mat = np.array(ints, dtype=object).reshape(len(ints), ncols)
+    best = modulus = residues = None
+    spent, budget = 0, None
+    for p in _primes():
+        pivots, reduced = _echelon_mod((mat % p).astype(np.int64), p)
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, modulus, residues = key, p, reduced
+        elif key == best:
+            residues = _crt(residues, modulus, reduced, p)
+            modulus *= p
+        if key == best:
+            fracs = _reconstruct(residues, modulus)
+            if fracs is not None and _verified(ints, mat, pivots, *fracs):
+                return _result(pivots, *fracs, len(ints), ncols)
+        spent += p.bit_length()
+        if budget is None:
+            # bad primes divide one nonzero minor, and reconstruction
+            # needs a modulus above twice its square
+            budget = 3 * _hadamard_bits(ints) + 64
+        if spent > budget:
+            raise ArithmeticError("modular elimination failed its exact check")
+
+
+_PRIMES: list[int] = []
+
+
+def _primes():
+    """The primes below 2^31, descending."""
+    for i in itertools.count():
+        if i == len(_PRIMES):
+            q = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+            while not is_prime(q):
+                q -= 2
+            _PRIMES.append(q)
+        yield _PRIMES[i]
+
+
+def _echelon_mod(a: np.ndarray, p: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Pivots and nonzero rows of the RREF over Z/p of a (entries in [0, p)).
+
+    Reduces a in place, with one vectorised update per pivot of the rows
+    that have a nonzero entry in its column.
+    """
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        nz = np.flatnonzero(a[r:, col])
+        if not nz.size:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        pivot_row = a[r, col:] * pow(int(a[r, col]), -1, p) % p
+        a[r, col:] = pivot_row
+        factors = a[:, col].copy()
+        factors[r] = 0
+        hit = np.flatnonzero(factors)
+        if hit.size:
+            a[hit, col:] = (a[hit, col:] - factors[hit, None] * pivot_row) % p
+        pivots.append(col)
+        r += 1
+    return tuple(pivots), a[:r]
+
+
+def _crt(x: np.ndarray, m: int, y: np.ndarray, p: int) -> np.ndarray:
+    """The residues mod m*p that are x mod m and y mod p."""
+    x = x.astype(object)
+    lift = (y - (x % p).astype(np.int64)) * pow(m, -1, p) % p
+    return x + m * lift.astype(object)
+
+
+def _reconstruct(x: np.ndarray, m: int):
+    """Numerators s and row denominators d with s = d x (mod m), or None.
+
+    Every |s| and d is at most b = isqrt(m / 2).  Each row starts from d = 1;
+    while an entry of d x is out of range, d is multiplied by that entry's
+    reconstructed denominator.
+    """
+    bound = math.isqrt(m // 2)
+    dens = np.ones(len(x), dtype=x.dtype)
+    y = x
+    while True:
+        nums = np.where(y > m // 2, y - m, y)
+        out = np.abs(nums) > bound
+        bad = np.flatnonzero(out.any(axis=1))
+        if not bad.size:
+            return nums, dens
+        for i, j in zip(bad, out[bad].argmax(axis=1)):
+            e = _denominator(int(y[i, j]), m, bound)
+            if e is None or dens[i] * e > bound:
+                return None
+            dens[i] *= e
+        y = x * dens[:, None] % m
+
+
+def _denominator(u: int, m: int, bound: int) -> int | None:
+    """The denominator b > 1 of a/b = u (mod m) with |a|, b <= bound, or None."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return abs(t1) if 1 < abs(t1) <= bound else None
+
+
+def _verified(ints, mat, pivots, nums, dens) -> bool:
+    """Whether R_i = nums_i / dens_i is in RREF shape and contains every row.
+
+    The containment a = sum_i a[pivot_i] R_i is checked on the free columns
+    (the shape settles the pivot columns) as one integer identity per row:
+    after clearing the common denominator D, both sides are packed into
+    slots of W bits, which is exact since every entry of either side is
+    below 2^(W-1) in absolute value.
+    """
+    rank, ncols = nums.shape
+    if rank:
+        piv = np.array(pivots)
+        if nums[np.arange(ncols) < piv[:, None]].any():
+            return False
+        if (nums[:, piv] != np.diag(dens)).any():
+            return False
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    dens = dens.tolist()
+    common = math.lcm(*dens)
+    free_nums = [
+        [x * (common // d) for x in row] for row, d in zip(nums[:, free].tolist(), dens)
+    ]
+    amax = max(int(mat.max(initial=0)), -int(mat.min(initial=0)))
+    nmax = max((abs(x) for row in free_nums for x in row), default=0)
+    width = (common * amax + rank * amax * nmax).bit_length() // 8 + 1
+    zero = bytes(width - 1) + b"\x80"  # 2^(W-1), the offset of each slot
+    offsets = int.from_bytes(zero * len(free), "little")
+    half = 1 << (8 * width - 1)
+
+    def pack(vals) -> int:
+        data = b"".join([(v + half).to_bytes(width, "little") if v else zero for v in vals])
+        return int.from_bytes(data, "little") - offsets
+
+    packed = [pack(row) for row in free_nums]
+    for a in ints:
+        combo = sum(a[c] * pr for c, pr in zip(pivots, packed) if a[c])
+        if common * pack([a[j] for j in free]) != combo:
+            return False
+    return True
+
+
+def _hadamard_bits(ints) -> int:
+    """log2 of the Hadamard bound on every minor of the rows, rounded up."""
+    return sum((sum(x * x for x in row).bit_length() + 1) // 2 for row in ints)
+
+
+def _result(pivots, nums, dens, nrows: int, ncols: int) -> RrefResult:
+    frac = _FractionCache().__getitem__
+    out = [
+        tuple(map(frac, zip(row, itertools.repeat(d))))
+        for row, d in zip(nums.tolist(), dens.tolist())
+    ]
+    zero = (Fraction(0),) * ncols
+    out += [zero] * (nrows - len(out))
+    return RrefResult(tuple(out), pivots, len(pivots))
+
+
+class _FractionCache(dict):
+    """(numerator, denominator) -> Fraction, built once per distinct key."""
+
+    def __missing__(self, key):
+        f = self[key] = Fraction(*key)
+        return f

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .intmath import factorize, is_prime
-from .linalg import LinearForm, RationalMatrix, S_SPACE, U_SPACE, rref
+from .linalg import LinearForm, S_SPACE, U_SPACE, integer_row, rref
 
 
 class UnsupportedModulus(ValueError):
@@ -79,27 +79,27 @@ def k_red(m: int, k: int) -> int:
 
 
 def phi_forward(uform: LinearForm) -> LinearForm:
-    """Image of a U-space form in S-space.
+    """Image of a U-space form in S-space."""
+    if uform.space != U_SPACE:
+        raise ValueError("phi_forward expects a U-space form")
+    return LinearForm(S_SPACE, uform.m, phi_coeffs(uform.coeffs))
+
+
+def phi_coeffs(ucoeffs: tuple | list) -> list:
+    """S-coefficients (indices 1..m'-1) of the U-coefficients (2..m').
 
     Computed by the recursion c_d = e_d + d*f_d with e_1 = 0,
     f_1 = sum of all input coefficients, e_{d+1} = e_d + d*c'_{d+1},
-    f_{d+1} = f_d - c'_{d+1}.
+    f_{d+1} = f_d - c'_{d+1}.  Integer input gives integer output.
     """
-    if uform.space != U_SPACE:
-        raise ValueError("phi_forward expects a U-space form")
-    m = uform.m
-    half = m // 2
-    cprime = {k: c for k, c in uform.items()}
-    e = Fraction(0)
-    f = sum(cprime.values(), Fraction(0))
-    out = []
-    for d in range(1, half):
-        if d >= 2:
-            c_d = cprime.get(d, Fraction(0))
-            e += (d - 1) * c_d
-            f -= c_d
+    e = 0
+    f = sum(ucoeffs)
+    out = [f]
+    for d, c in enumerate(ucoeffs[:-1], start=2):
+        e += (d - 1) * c
+        f -= c
         out.append(e + d * f)
-    return LinearForm(S_SPACE, m, tuple(out))
+    return out
 
 
 def phi_inverse(sform: LinearForm) -> LinearForm:
@@ -312,61 +312,52 @@ def identity_u_basis(m: int) -> RelationBasis:
     * norm: sum_{1<=a<q, p∤a} x_{a m/q} = log p for each prime power q = p^k
       dividing m, the logarithm of Phi_q(1) = p.
 
-    Exact elimination with one log p column per prime p | m ahead of the
-    columns x_1..x_{m'} leaves, in the rows pivoting on an x column, a basis
-    of the identities free of every log p.  Their intersection with the
-    hyperplane "coefficients sum to 0", with x_1 dropped, is the U-relation
-    space.  By the rational form of Bass's theorem (Bass 1966; Washington,
-    Introduction to Cyclotomic Fields, ch. 8) these identities span every
-    Q-linear relation among the x_a, so the basis is complete, not only
-    sound.  Each form is scaled to coprime integer coefficients.
+    Exact elimination with one log p column per prime p | m, then a column
+    holding the sum of the x-coefficients, ahead of the columns x_1..x_{m'}
+    leaves, in the rows pivoting on an x column, a basis of the identities
+    free of every log p whose coefficients sum to 0.  With x_1 dropped, these
+    rows are a basis of the U-relation space.  By the rational form of Bass's
+    theorem (Bass 1966; Washington, Introduction to Cyclotomic Fields, ch. 8)
+    these identities span every Q-linear relation among the x_a, so the
+    basis is complete, not only sound.  Each form is scaled to coprime
+    integer coefficients.
     """
     if m < 4:
         raise ValueError("relation bases need m >= 4")
     half = m // 2
     fact = factorize(m)
-    nlog = len(fact)
+    lead = len(fact) + 1  # the log p columns and the sum column
 
     def col(a: int) -> int:
-        return nlog + k_red(m, a) - 1
+        return lead + k_red(m, a) - 1
 
     rows = []
     for d, _ in fact:
         step = m // d
         for b in range(1, step):
-            row = [0] * (nlog + half)
+            row = [0] * (lead + half)
             for j in range(d):
                 row[col(b + j * step)] += 1
             row[col(b * d)] -= 1
+            row[lead - 1] = d - 1
             rows.append(row)
     for i, (p, e) in enumerate(fact):
         for k in range(1, e + 1):
             q = p**k
-            row = [0] * (nlog + half)
+            row = [0] * (lead + half)
             for a in range(1, q):
                 if a % p:
                     row[col(a * (m // q))] += 1
             row[i] -= 1
+            row[lead - 1] = q - q // p
             rows.append(row)
-    ech = rref(RationalMatrix.from_rows(rows, cols=nlog + half))
-    xrels = [
-        ech.matrix.entries[i][nlog:] for i, c in enumerate(ech.pivots) if c >= nlog
-    ]
-    # intersect with sum(v) = 0 by clearing the sums against one row
-    sums = [sum(v) for v in xrels]
-    lead = next((i for i, s in enumerate(sums) if s != 0), None)
-    if lead is not None:
-        xrels = [
-            [a - sums[i] / sums[lead] * b for a, b in zip(v, xrels[lead])]
-            for i, v in enumerate(xrels)
-            if i != lead
-        ]
+    ech = rref(rows)
     forms = []
-    for v in xrels:
-        scale = math.lcm(*(c.denominator for c in v))
-        ints = [int(c * scale) for c in v[1:]]
-        g = math.gcd(*ints)
-        forms.append(LinearForm(U_SPACE, m, tuple(c // g for c in ints)))
+    for row, c in zip(ech.rows, ech.pivots):
+        if c >= lead:
+            ints = integer_row(row[lead + 1 :])
+            g = math.gcd(*ints)
+            forms.append(LinearForm(U_SPACE, m, tuple(x // g for x in ints)))
     return RelationBasis(m, U_SPACE, tuple(forms), "identities")
 
 

@@ -28,7 +28,7 @@ from . import frequencies
 from .balls import PrecisionContext, mpf_to_fraction
 from .cyclotomic import verify_u_relation
 from .intmath import euler_phi
-from .linalg import LinearForm, U_SPACE, rat_to_str, rref, stack_forms
+from .linalg import LinearForm, U_SPACE, integer_row, rat_to_str, rref, stack_forms
 from .lll import lll_reduce
 from .relations import (
     CASE_PRIME,
@@ -37,6 +37,7 @@ from .relations import (
     closed_form_count,
     identity_u_basis,
     modulus_profile,
+    phi_coeffs,
     phi_forward,
     u_basis,
 )
@@ -127,26 +128,26 @@ def express_dependents(m: int, sforms: list[LinearForm] | None = None) -> Expres
     if m < 4:
         raise ValueError("expression tables need m >= 4")
     half = m // 2
-    method = "provided"
     if sforms is None:
         basis = relation_basis(m)
-        sforms = [phi_forward(f) for f in basis.forms]
+        rows = [phi_coeffs(integer_row(f.coeffs)) for f in basis.forms]
         method = basis.provenance
-    if not sforms:
+    else:
+        rows = stack_forms(sforms)
+        method = "provided"
+    if not rows:
         return ExpressionTable(m, half - 1, (), True, method)
-    result = rref(stack_forms(sforms))
+    result = rref(rows)
     rank = result.rank
     t = (half - 1) - rank
     trailing_ok = result.pivots == tuple(range(rank))
-    rows = []
     pivot_set = set(result.pivots)
-    for i, pcol in enumerate(result.pivots):
-        entries = result.matrix.entries[i]
-        coeffs = tuple(
-            (c + 1, -entries[c]) for c in range(half - 1) if c not in pivot_set and entries[c] != 0
-        )
-        rows.append((pcol + 1, coeffs))
-    return ExpressionTable(m, t, tuple(rows), trailing_ok, method)
+    free = [c for c in range(half - 1) if c not in pivot_set]
+    table = []
+    for pcol, entries in zip(result.pivots, result.rows):
+        coeffs = tuple((c + 1, -entries[c]) for c in free if entries[c])
+        table.append((pcol + 1, coeffs))
+    return ExpressionTable(m, t, tuple(table), trailing_ok, method)
 
 
 # ----------------------------------------------------------------------

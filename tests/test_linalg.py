@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_rref import fraction_rref
+from symfreq import linalg
 from symfreq.linalg import (
     LinearForm,
-    RationalMatrix,
     S_SPACE,
     U_SPACE,
     form_add,
@@ -99,28 +100,27 @@ def test_form_json_malformed():
 
 class TestRref:
     def test_identity(self):
-        m = RationalMatrix.from_rows([[1, 0], [0, 1]])
-        r = rref(m)
-        assert r.matrix == m and r.pivots == (0, 1) and r.rank == 2
+        r = rref([[1, 0], [0, 1]])
+        assert r.rows == ((1, 0), (0, 1)) and r.pivots == (0, 1) and r.rank == 2
 
     def test_proportional_rows(self):
-        r = rref(RationalMatrix.from_rows([[1, 2], [2, 4]]))
+        r = rref([[1, 2], [2, 4]])
         assert r.rank == 1
-        assert r.matrix.entries == ((F(1), F(2)), (F(0), F(0)))
+        assert r.rows == ((F(1), F(2)), (F(0), F(0)))
 
     def test_full_rank_3x3(self):
         # determinant of the circulant [[1,1,0],[0,1,1],[1,0,1]] is 2, so the
         # reduced form is the identity
-        r = rref(RationalMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+        r = rref([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         assert r.rank == 3 and r.pivots == (0, 1, 2)
-        assert r.matrix.entries == (
+        assert r.rows == (
             (F(1), F(0), F(0)),
             (F(0), F(1), F(0)),
             (F(0), F(0), F(1)),
         )
 
     def test_empty(self):
-        r = rref(RationalMatrix.from_rows([], cols=0))
+        r = rref([])
         assert r.rank == 0 and r.pivots == ()
 
     @given(
@@ -132,10 +132,9 @@ class TestRref:
     )
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, rows):
-        m = RationalMatrix.from_rows(rows)
-        first = rref(m)
-        again = rref(first.matrix)
-        assert again.matrix == first.matrix
+        first = rref(rows)
+        again = rref(first.rows)
+        assert again.rows == first.rows
         assert again.pivots == first.pivots
 
     @given(
@@ -147,8 +146,7 @@ class TestRref:
     )
     @settings(max_examples=60, deadline=None)
     def test_rank_of_transpose(self, rows):
-        m = RationalMatrix.from_rows(rows)
-        assert rref(m).rank == rref(m.transpose()).rank
+        assert rref(rows).rank == rref(list(zip(*rows))).rank
 
     @given(
         st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3),
@@ -158,8 +156,7 @@ class TestRref:
     def test_row_operation_invariance(self, rows, seed):
         # invertible row operations never change the reduced form
         rng = random.Random(seed)
-        m = RationalMatrix.from_rows(rows)
-        ops = [list(r) for r in m.entries]
+        ops = [list(r) for r in rows]
         for _ in range(6):
             i, j = rng.randrange(3), rng.randrange(3)
             kind = rng.randrange(3)
@@ -171,13 +168,112 @@ class TestRref:
             elif i != j:
                 c = F(rng.randint(-4, 4))
                 ops[i] = [x + c * y for x, y in zip(ops[i], ops[j])]
-        assert rref(RationalMatrix.from_rows(ops)).matrix == rref(m).matrix
+        assert rref(ops).rows == rref(rows).rows
 
 
 def test_stack_forms():
     a = LinearForm.from_map(U_SPACE, 12, {2: F(1)})
     b = LinearForm.from_map(U_SPACE, 12, {3: F(2)})
     m = stack_forms([a, b])
-    assert m.rows == 2 and m.cols == 5
+    assert len(m) == 2 and len(m[0]) == 5
     with pytest.raises(ValueError):
         stack_forms([a, LinearForm.from_map(U_SPACE, 14, {2: F(1)})])
+
+
+entries = st.one_of(
+    st.integers(-6, 6),
+    rationals,
+    st.integers(-(10**25), 10**25),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**9),
+    st.sampled_from((-(2**63), 2**63 - 1, 2**63)),  # the edges of int64
+)
+
+
+@st.composite
+def matrices(draw):
+    """Integer or rational rows, some with dependent and zero rows, possibly none."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=5))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order]
+
+
+def spy_primes(monkeypatch):
+    """Record (prime, pivots) for every modular elimination rref runs."""
+    seen = []
+    real = linalg._echelon_mod
+
+    def spy(a, p):
+        out = real(a, p)
+        seen.append((p, out[0]))
+        return out
+
+    monkeypatch.setattr(linalg, "_echelon_mod", spy)
+    return seen
+
+
+class TestModularRref:
+    @given(matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_oracle(self, rows):
+        r = rref(rows)
+        oracle_rows, oracle_pivots = fraction_rref(rows)
+        assert r.rows == oracle_rows and r.pivots == oracle_pivots
+        assert r.rank == len(oracle_pivots)
+        assert all(type(x) is F for row in r.rows for x in row)
+
+    def test_bad_first_prime(self, monkeypatch):
+        # rows 2 - 1 is (0, p, 2): over Q the pivots are (0, 1), but modulo
+        # the first prime p the pivot minor 1 * p vanishes and they are (0, 2)
+        p = next(linalg._primes())
+        rows = [[1, 2, 3], [1, 2 + p, 5]]
+        seen = spy_primes(monkeypatch)
+        r = rref(rows)
+        assert (r.rows, r.pivots) == fraction_rref(rows)
+        assert r.rows[0][2] == 3 - F(4, p)
+        assert seen[0] == (p, (0, 2)) and seen[1][1] == (0, 1)
+
+    def test_crt_over_two_primes(self, monkeypatch):
+        # 100003/7 lies outside one prime's reconstruction range (|a|, b <= 2^15)
+        rows = [[7, 100003, 1], [2, 5, 9]]
+        seen = spy_primes(monkeypatch)
+        r = rref(rows)
+        assert (r.rows, r.pivots) == fraction_rref(rows)
+        assert max(abs(x.numerator) for row in r.rows for x in row) > 2**16
+        assert len(seen) >= 2 and len({piv for _, piv in seen}) == 1
+
+    def test_failed_check_is_never_returned(self, monkeypatch):
+        calls = []
+
+        def refuse(*args):
+            calls.append(args)
+            return False
+
+        monkeypatch.setattr(linalg, "_verified", refuse)
+        with pytest.raises(ArithmeticError):
+            rref([[1, 2], [3, 4]])
+        assert len(calls) >= 2  # more primes were tried before giving up
+
+    def test_reduction_out_of_shape_is_never_returned(self, monkeypatch):
+        # a pivot-column entry left in row 0 leaves every free column, and so
+        # the containment check there, intact; the shape check must refuse it
+        real = linalg._echelon_mod
+
+        def corrupt(a, p):
+            pivots, reduced = real(a, p)
+            reduced[0, pivots[1]] = 5
+            return pivots, reduced
+
+        monkeypatch.setattr(linalg, "_echelon_mod", corrupt)
+        with pytest.raises(ArithmeticError):
+            rref([[1, 0, 1], [0, 1, 1]])
+
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            rref([[1, 2], [3]])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symfreq.lll import gram_schmidt_check, lll_reduce
-from symfreq.linalg import RationalMatrix, rref
+from symfreq.linalg import rref
 
 
 def gram_det(rows):
@@ -32,13 +32,13 @@ def in_lattice(vec, basis_rows):
     """Whether vec is an integer combination of the basis rows."""
     cols = len(basis_rows[0])
     aug = [[F(basis_rows[r][c]) for r in range(len(basis_rows))] + [F(vec[c])] for c in range(cols)]
-    res = rref(RationalMatrix.from_rows(aug))
+    res = rref(aug)
     n = len(basis_rows)
     sol = [F(0)] * n
     for i, p in enumerate(res.pivots):
         if p == n:
             return False  # inconsistent
-        sol[p] = res.matrix.entries[i][n]
+        sol[p] = res.rows[i][n]
     # verify and require integrality
     for c in range(cols):
         if sum(sol[r] * basis_rows[r][c] for r in range(n)) != vec[c]:

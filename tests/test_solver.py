@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from fraction_rref import fraction_rref
 from symfreq.balls import PrecisionContext
+from symfreq.intmath import euler_phi, factorize, is_prime
 from symfreq.cyclotomic import verify_u_relation
 from symfreq.frequencies import evaluate_form
 from symfreq.linalg import LinearForm, S_SPACE, U_SPACE, form_scale, form_add, rref, stack_forms
@@ -20,6 +22,7 @@ from symfreq.solver import (
     conjecture_check,
     discover_relations,
     express_dependents,
+    relation_basis,
     s_relation_basis,
     scan_range,
 )
@@ -242,7 +245,46 @@ class TestConjecture:
         assert rec.t == 12 // 2 - 1 - len(found)
 
 
+class TestOracleTables:
+    def test_tables_match_fraction_oracle(self):
+        # the same S-relations, eliminated by Fraction Gauss-Jordan
+        for m in range(4, 81):
+            rows = [phi_forward(f).coeffs for f in relation_basis(m).forms]
+            table = express_dependents(m)
+            if not rows:
+                assert table.rows == () and table.t == m // 2 - 1
+                continue
+            ech, pivots = fraction_rref(rows)
+            free = [c for c in range(m // 2 - 1) if c not in pivots]
+            expect = tuple(
+                (p + 1, tuple((c + 1, -ech[i][c]) for c in free if ech[i][c]))
+                for i, p in enumerate(pivots)
+            )
+            assert table.rows == expect, m
+            assert table.t == m // 2 - 1 - len(pivots), m
+            assert table.trailing_ok == (pivots == tuple(range(len(pivots)))), m
+
+
+# the moduli m <= 150 where S_{m'-t}..S_{m'-1} is not a basis of the span
+TRAILING_FAILURES_TO_150 = {
+    42, 45, 50, 75, 78, 85, 91, 98, 100, 110, 117, 120, 130, 135, 140, 145, 147, 150
+}
+
+
+def expected_t(m):
+    """(m-3)/2 for prime m, else phi(m)/2 - 1 + omega(m)."""
+    if is_prime(m):
+        return (m - 3) // 2
+    return euler_phi(m) // 2 - 1 + len(factorize(m))
+
+
 class TestScan:
+    def test_finding_to_150(self):
+        rows = scan_range(4, 150)
+        assert [r.m for r in rows] == list(range(4, 151))
+        assert [r.t for r in rows] == [expected_t(m) for m in range(4, 151)]
+        assert {r.m for r in rows if not r.trailing_basis_ok} == TRAILING_FAILURES_TO_150
+
     def test_small_range(self):
         rows = scan_range(4, 16)
         assert [r.m for r in rows] == list(range(4, 17))
