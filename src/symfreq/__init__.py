@@ -4,14 +4,7 @@ frequencies of continued-fraction digits modulo m."""
 __version__ = "0.1.0"
 
 from .balls import PrecisionContext, RealBall
-from .cyclotomic import (
-    CycloElement,
-    CycloFraction,
-    CyclotomicDegreeError,
-    cyclotomic_poly,
-    sine_ratio_elem,
-    verify_u_relation,
-)
+from .cyclotomic import CyclotomicDegreeError, cyclotomic_poly, verify_u_relation
 from .frequencies import evaluate_form, h_series, h_value, s_value, u_value
 from .linalg import LinearForm, Rational, form_add, form_scale, rref
 from .relations import (
@@ -46,11 +39,8 @@ from .solver import (
 __all__ = [
     "PrecisionContext",
     "RealBall",
-    "CycloElement",
-    "CycloFraction",
     "CyclotomicDegreeError",
     "cyclotomic_poly",
-    "sine_ratio_elem",
     "verify_u_relation",
     "evaluate_form",
     "h_series",

@@ -1,4 +1,4 @@
-"""Exact cyclotomic arithmetic and the multiplicative certificate engine.
+"""The exact multiplicative certificate for relations among log-sine values.
 
 A claimed linear relation sum(c_k * log2(sin(pi*k/m)/sin(pi/m))) = 0 holds
 exactly if and only if the matching product of sine ratios equals 1.  Each
@@ -10,17 +10,18 @@ so after clearing denominators the whole check is an equality A = B between
 two products of binomials z^a - z^b in Z[z].  It is decided by evaluation at
 split primes: for a prime p = 1 (mod 2m) and an element w of order 2m in
 F_p, each map z -> w^j with j a unit mod 2m is a ring homomorphism
-Z[z] -> F_p.  A mismatch at one of them disproves the claim; agreement at
-all of them, over primes whose product exceeds the bound 2^(M+1) on
-|A - B| under every complex embedding, proves it (M is the number of
-binomials on either side), because a nonzero A - B would then have a norm
-too large for its absolute value.  No floating point is involved.
+Z[z] -> F_p.  A mismatch at one of them disproves the claim.  Agreement at
+all of them, over primes whose product P exceeds 2^bits, proves it once
+bits bounds the mean over the complex embeddings sigma of
+log2|sigma(A - B)|: a nonzero A - B in PZ[z] would have a norm of at least
+P^phi(2m), too large for that mean.  The bound comes from a cached table of
+log2|2 sin(pi r/2m)| in integer fixed point, rounded up, and is only
+computed once the first prime agrees, so a rejection never pays for it.  No
+floating point is involved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -82,151 +83,6 @@ def cyclotomic_poly(M: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_mod_cyclotomic(coeffs: list, M: int) -> list:
-    """In-place remainder of a coefficient list modulo Phi_M (monic)."""
-    phi = cyclotomic_poly(M)
-    deg = len(phi) - 1
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c:
-            coeffs[i] = 0
-            base = i - deg
-            for j in range(deg):
-                if phi[j]:
-                    coeffs[base + j] -= c * phi[j]
-    del coeffs[deg:]
-    while len(coeffs) < deg:
-        coeffs.append(0)
-    return coeffs
-
-
-# ----------------------------------------------------------------------
-# Field elements
-
-
-@dataclass(frozen=True)
-class CycloElement:
-    """Element of Q(zeta_M) as rational coordinates over 1, z, ..., z^(phi(M)-1)."""
-
-    conductor: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        deg = euler_phi(self.conductor)
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if len(coeffs) != deg:
-            raise ValueError(f"need exactly {deg} coordinates at conductor {self.conductor}")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-
-def cyclo_element(M: int, coeffs) -> CycloElement:
-    """Build an element from coefficients of any degree, reducing mod Phi_M."""
-    vec = [Fraction(c) for c in coeffs]
-    _reduce_mod_cyclotomic(vec, M)
-    return CycloElement(M, tuple(vec))
-
-
-def cyclo_zero(M: int) -> CycloElement:
-    return CycloElement(M, (Fraction(0),) * euler_phi(M))
-
-
-def cyclo_one(M: int) -> CycloElement:
-    return cyclo_element(M, [1])
-
-
-def zeta(M: int, e: int = 1) -> CycloElement:
-    """zeta_M^e as a field element."""
-    e %= M
-    return cyclo_element(M, [0] * e + [1])
-
-
-def cyclo_add(a: CycloElement, b: CycloElement) -> CycloElement:
-    _same_conductor(a, b)
-    return CycloElement(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def cyclo_sub(a: CycloElement, b: CycloElement) -> CycloElement:
-    _same_conductor(a, b)
-    return CycloElement(a.conductor, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def cyclo_neg(a: CycloElement) -> CycloElement:
-    return CycloElement(a.conductor, tuple(-x for x in a.coeffs))
-
-
-def cyclo_mul(a: CycloElement, b: CycloElement) -> CycloElement:
-    _same_conductor(a, b)
-    n = len(a.coeffs)
-    prod = [Fraction(0)] * (2 * n - 1)
-    for i, x in enumerate(a.coeffs):
-        if x == 0:
-            continue
-        for j, y in enumerate(b.coeffs):
-            if y != 0:
-                prod[i + j] += x * y
-    return cyclo_element(a.conductor, prod)
-
-
-def cyclo_pow(a: CycloElement, e: int) -> CycloElement:
-    if e < 0:
-        raise ValueError("negative exponents are not supported; use CycloFraction")
-    result = cyclo_one(a.conductor)
-    base = a
-    while e:
-        if e & 1:
-            result = cyclo_mul(result, base)
-        base = cyclo_mul(base, base) if e > 1 else base
-        e >>= 1
-    return result
-
-
-def _same_conductor(a: CycloElement, b: CycloElement):
-    if a.conductor != b.conductor:
-        raise ValueError(f"conductor mismatch: {a.conductor} vs {b.conductor}")
-
-
-@dataclass(frozen=True)
-class CycloFraction:
-    """Formal quotient num/den of field elements; never actually divided.
-
-    Comparisons and certificates cross-multiply, so no inverse mod Phi_M is
-    ever computed.
-    """
-
-    num: CycloElement
-    den: CycloElement
-
-    def __post_init__(self):
-        _same_conductor(self.num, self.den)
-        if self.den.is_zero():
-            raise ZeroDivisionError("zero denominator in CycloFraction")
-
-    @property
-    def conductor(self) -> int:
-        return self.num.conductor
-
-
-def sine_ratio_elem(m: int, k: int) -> CycloFraction:
-    """The ratio sin(pi*k/m)/sin(pi/m) as a fraction in Q(zeta_2m).
-
-    num = zeta_2m^((1-k) mod 2m) * (1 - zeta_2m^(2k)),  den = 1 - zeta_2m^2.
-    The represented complex number is real and positive for 1 <= k <= m//2.
-    """
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    if not 1 <= k <= m // 2:
-        raise ValueError(f"index k={k} out of range 1..{m // 2}")
-    n = 2 * m
-    _check_degree(n)
-    a = (1 - k) % n
-    num = cyclo_mul(zeta(n, a), cyclo_sub(cyclo_one(n), zeta(n, 2 * k)))
-    den = cyclo_sub(cyclo_one(n), zeta(n, 2))
-    return CycloFraction(num, den)
-
-
 # ----------------------------------------------------------------------
 # Product identities by evaluation at split primes
 
@@ -268,26 +124,127 @@ def split_primes(n: int, bits: int) -> list[tuple[int, int]]:
     return primes[:count]
 
 
+# ----------------------------------------------------------------------
+# The per-embedding norm bound
+
+#: Entries of the log-sine table are in units of 2^-LOG_UNIT_BITS bits.
+LOG_UNIT_BITS = 20
+
+# fractional bits of the fixed-point sine and logarithm
+_FP = 64
+
+# ceil(pi * 2^64), the ceiling of the upper end of a `balls.pi_ball` enclosure
+# (checked against one in the tests)
+_PI_UP = 0x3243F6A8885A308D4
+
+
+def _sin_up(x: int) -> int:
+    """An integer >= 2^64 sin(x / 2^64), for 0 < x / 2^64 < 2.
+
+    The Taylor terms x^k/k! then decrease, so a partial sum of the
+    alternating series that ends on a positive term bounds sin from above.
+    Each term is carried rounded up (hi) and down (lo) in units of 2^-64;
+    positive terms enter the sum as hi and negative ones as lo, and the sum
+    stops after the first positive term of at most one unit.
+    """
+    hi = lo = x
+    x2 = x * x
+    total = 0
+    k = 1
+    while True:
+        if k % 4 == 1:
+            total += hi
+            if hi <= 1:
+                return total
+        else:
+            total -= lo
+        step = (k + 1) * (k + 2) << (2 * _FP)
+        hi = -(-hi * x2 // step)
+        lo = lo * x2 // step
+        k += 2
+
+
+def _log2_up(y: int) -> int:
+    """An integer >= 2^20 log2(y / 2^64), for y >= 1, by repeated squaring.
+
+    With y / 2^64 = 2^e x and x in [1, 2), each squaring of x yields the next
+    binary digit of log2 x.  Every rounding is upward, which keeps
+    e + (digits + log2 x) / 2^k an upper bound, and x <= 2 throughout, so
+    adding one unit at the end covers the digits not taken.
+    """
+    e = y.bit_length() - 1 - _FP
+    x = y << -e if e < 0 else -(-y >> e)
+    digits = 0
+    for _ in range(LOG_UNIT_BITS):
+        x = -(-(x * x) >> _FP)
+        digits <<= 1
+        if x >= 2 << _FP:
+            x = -(-x >> 1)
+            digits |= 1
+    return (e << LOG_UNIT_BITS) + digits + 1
+
+
+@lru_cache(maxsize=None)
+def _log_sine_table(n: int) -> tuple[int, ...]:
+    """T with T[r] >= 2^20 log2|2 sin(pi r/n)| for r = 1..n-1, and T[0] = 0.
+
+    Under every embedding z -> zeta_n^j, |z^a - z^b| = |2 sin(pi (b-a) j/n)|,
+    so T[(b-a) j mod n] bounds its log2 from above; T[0] = 0 bounds
+    log2|z^a - z^a| = log2 0 as well.  Folded to r <= n/2, pi r/n lies in
+    (0, pi/2]; its upper bound X = ceil(_PI_UP r/n) / 2^64 exceeds it by
+    under 2^-62, far less than the gap pi/(2n) to pi/2 when 2r < n, so
+    sin(X) >= sin(pi r/n) there.
+    """
+    half = [0]
+    for r in range(1, n // 2 + 1):
+        s = 1 << _FP if 2 * r == n else min(_sin_up(-(-_PI_UP * r // n)), 1 << _FP)
+        half.append(_log2_up(2 * s))
+    return tuple(half + half[(n - 1) // 2 : 0 : -1])
+
+
+def _norm_bits(n: int, left, right, units) -> int:
+    """ceil of the mean over j in `units` of 1 + max(a_j, b_j).
+
+    a_j and b_j are the table's upper bounds on log2|sigma_j(prod left)| and
+    log2|sigma_j(prod right)|, sigma_j: z -> zeta_n^j, so for the difference
+    D of the two sides (a root of unity times `left`, minus `right`)
+    log2|sigma_j(D)| <= 1 + max(a_j, b_j).
+    """
+    table = _log_sine_table(n)
+    total = sum(
+        max(sum(e * table[(b - a) * j % n] for a, b, e in side) for side in (left, right))
+        for j in units
+    )
+    return 1 - (-total // (len(units) << LOG_UNIT_BITS))
+
+
 def _products_agree(n: int, twist: int, left, right, units) -> bool:
     """Whether z^twist * prod(left) = prod(right) in Z[z], z = zeta_n.
 
     `left` and `right` hold (a, b, e) for factors (z^a - z^b)^e with e >= 0.
     Both sides are evaluated at z -> w^j mod p for each j in `units` and each
-    split prime p, with non-negative exponents only.  Each factor has
-    absolute value at most 2 under every complex embedding, so with
-    M = max(sum of left e, sum of right e) the difference D of the two sides
-    satisfies |N(D)| <= 2^((M+1)phi(n)).  A mismatch at one root proves
-    D != 0.  Agreement at every j of a prime p puts D in every prime ideal
-    above p, hence in pZ[z]; over primes whose product P exceeds 2^(M+1),
-    D lies in PZ[z], so a nonzero D would have |N(D)| >= P^phi(n), which is
-    too large: D = 0.  `units` is all of (Z/n)^*, or one j of each pair
-    {j, -j} when complex conjugation maps D to a root of unity times D: then
-    D vanishes at w^j iff it vanishes at w^(-j).
+    split prime p, with non-negative exponents only.  A mismatch at one root
+    proves that the difference D of the two sides is nonzero.  Agreement at
+    every j of a prime p puts D in every prime ideal above p, hence in pZ[z];
+    over primes whose product P exceeds 2^bits, D lies in PZ[z], so a
+    nonzero D would have |N(D)| >= P^phi(n) > 2^(bits phi(n)).  Here bits is
+    the smaller of two bounds on the mean of log2|sigma(D)| over the
+    embeddings sigma, each of which caps |N(D)| = prod |sigma(D)| at
+    2^(bits phi(n)): M + 1, as every factor has absolute value at most 2
+    (M = max(sum of left e, sum of right e)), and `_norm_bits`, the same
+    mean taken factor by factor from the log-sine table.  So D = 0.  The
+    table bound is computed only after the first prime agrees; for a true
+    relation it is usually below the 61 bits of that prime.
+
+    `units` is all of (Z/n)^*, or one j of each pair {j, -j} when complex
+    conjugation maps D to a root of unity times D: then D vanishes at w^j
+    iff it vanishes at w^(-j), and the mean over the pairs is the mean over
+    all units, since |sigma_(-j)(x)| = |sigma_j(x)| for every x.
     """
     left = list(left)
     right = list(right)
-    mass = max(sum(e for *_, e in left), sum(e for *_, e in right))
-    for p, w in split_primes(n, mass + 1):
+
+    def agree(p: int, w: int) -> bool:
         powers = [1] * n
         for i in range(1, n):
             powers[i] = powers[i - 1] * w % p
@@ -300,7 +257,13 @@ def _products_agree(n: int, twist: int, left, right, units) -> bool:
                 rhs = rhs * pow(powers[a * j % n] - powers[b * j % n], e, p) % p
             if lhs != rhs:
                 return False
-    return True
+        return True
+
+    if not agree(*split_primes(n, 1)[0]):
+        return False
+    mass = max(sum(e for *_, e in left), sum(e for *_, e in right))
+    bits = min(mass + 1, _norm_bits(n, left, right, units))
+    return all(agree(p, w) for p, w in split_primes(n, bits)[1:])
 
 
 def binomial_products_equal(n: int, left, right) -> bool:
@@ -355,11 +318,15 @@ def verify_u_relation(m: int, form: LinearForm) -> bool:
 
     each a product of M = max(sum of positive e_k, sum of |negative e_k|)
     binomials times a root of unity.  It is decided exactly at split primes
-    (see `_products_agree`), at the j in (Z/n)^* with j < m only.  That
-    suffices because A/B is real: up to one root of unity common to A and B,
-    both are products of M binomials z^(1-k) - z^(1+k) and 1 - z^2, each
-    z^a - z^b with a + b = 2 (mod n), which complex conjugation sends to
-    -z^(-2) times itself.  So conjugation maps A - B to a root of unity times
+    (see `_products_agree`).  Under z -> zeta_n^j the factor 1 - z^(2k) has
+    absolute value |2 sin(2 pi k j/n)|, so the primes needed follow the mean
+    over j of the larger side's log2 absolute value (log2|N(A)|/phi(n) for
+    a true relation) rather than M: one prime for most claims.  Only the j
+    in (Z/n)^* with j < m are checked.  That suffices because A/B is real:
+    up to one root of unity common to A and B, both are products of M
+    binomials z^(1-k) - z^(1+k) and 1 - z^2, each z^a - z^b with
+    a + b = 2 (mod n), which complex conjugation sends to -z^(-2) times
+    itself.  So conjugation maps A - B to a root of unity times
     A - B, and A - B vanishes at w^j iff it vanishes at w^(-j).  Returns True
     iff the relation is exactly valid.
     """
@@ -382,15 +349,3 @@ def verify_u_relation(m: int, form: LinearForm) -> bool:
         right.append((0, 2, total))
     units = [j for j in range(1, m) if gcd(j, n) == 1]
     return _products_agree(n, twist, left, right, units)
-
-
-def embed_complex(elem: CycloElement, prec: int = 64):
-    """Numeric embedding z -> exp(2*pi*i/M), for tests and diagnostics."""
-    import mpmath
-
-    with mpmath.workprec(prec + 10):
-        z = mpmath.expjpi(mpmath.mpf(2) / elem.conductor)
-        acc = mpmath.mpc(0)
-        for c in reversed(elem.coeffs):
-            acc = acc * z + mpmath.mpf(c.numerator) / c.denominator
-        return acc

@@ -1,32 +1,35 @@
 from fractions import Fraction as F
-from math import prod
+from functools import lru_cache
+from math import gcd, prod
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symfreq.cyclotomic import (
+from cyclo_oracle import (
     CycloFraction,
-    CyclotomicDegreeError,
-    binomial_products_equal,
     cyclo_add,
     cyclo_element,
     cyclo_mul,
     cyclo_one,
     cyclo_pow,
     cyclo_sub,
-    cyclotomic_poly,
     embed_complex,
-    scaled_exponents,
-    signed_products_equal,
     sine_ratio_elem,
-    split_primes,
-    verify_u_relation,
     zeta,
 )
-from symfreq import cyclotomic
+from symfreq.cyclotomic import (
+    CyclotomicDegreeError,
+    binomial_products_equal,
+    cyclotomic_poly,
+    scaled_exponents,
+    signed_products_equal,
+    split_primes,
+    verify_u_relation,
+)
+from symfreq import balls, cyclotomic
 from symfreq.intmath import divisors, euler_phi, factorize, is_prime
-from symfreq.linalg import LinearForm, U_SPACE
+from symfreq.linalg import LinearForm, U_SPACE, rref
 from symfreq.relations import identity_u_basis, u_basis
 
 
@@ -131,9 +134,68 @@ class TestSplitPrimes:
                     big = LinearForm(U_SPACE, m, tuple(scale * c for c in form.coeffs))
                     calls.clear()
                     assert verify_u_relation(m, big) is True
-                    ((n, bits, pairs),) = calls
-                    assert n == 2 * m and bits == _mass(big) + 1
+                    # one prime first, then the primes of the norm bound
+                    (n, _, first), (n2, bits, pairs) = calls
+                    assert n == n2 == 2 * m and pairs[0] == first[0]
+                    assert _mean_log_bits(m, big) <= bits <= _mass(big) + 1
                     assert prod(p for p, _ in pairs) > 2**bits
+
+
+def _mean_log_bits(m, form):
+    # ceil of the mean over the embeddings z -> zeta_2m^j of
+    # 1 + max(log2|sigma_j A|, log2|sigma_j B|), A and B as in verify_u_relation,
+    # at 200 bits with mpmath
+    _, exps = scaled_exponents(form)
+    total = sum(exps.values())
+    pos = {k: e for k, e in exps.items() if e > 0}
+    neg = {k: -e for k, e in exps.items() if e < 0}
+    side = pos if total < 0 else neg  # the side that carries (1 - z^2)^|S|
+    side[1] = side.get(1, 0) + abs(total)
+    n = 2 * m
+    units = [j for j in range(n) if gcd(j, n) == 1]
+    with mpmath.workprec(200):
+
+        def log_abs(factors, j):
+            return sum(e * mpmath.log(abs(2 * mpmath.sinpi(mpmath.mpf(2 * k * j) / n)), 2) for k, e in factors.items())
+
+        mean = mpmath.fsum(1 + max(log_abs(pos, j), log_abs(neg, j)) for j in units) / len(units)
+        return int(mpmath.ceil(mean))
+
+
+class TestLogSineTable:
+    def test_pi_constant(self):
+        # the table's pi is the ceiling of the upper end of a 128-bit pi ball
+        ball = balls.pi_ball(balls.PrecisionContext(128))
+        upper = (balls.mpf_to_fraction(ball.mid) + balls.mpf_to_fraction(ball.rad)) * 2**64
+        assert upper <= cyclotomic._PI_UP < upper + 1
+
+    def test_bounds_every_entry(self):
+        # every entry against a 128-bit interval enclosure, for n in 8..200
+        iv = mpmath.iv
+        enclosures = {}
+        saved, iv.prec = iv.prec, 128
+        try:
+            for n in range(8, 201):
+                table = cyclotomic._log_sine_table(n)
+                assert len(table) == n and table[0] == 0
+                for r in range(1, n):
+                    q = F(min(r, n - r), n)
+                    if q not in enclosures:
+                        x = iv.log(2 * iv.sin(iv.pi * q.numerator / q.denominator), 2) * 2**20
+                        enclosures[q] = tuple(balls.mpf_to_fraction(mpmath.mp.make_mpf(end)) for end in x._mpi_)
+                    lo, hi = enclosures[q]
+                    assert hi <= table[r] <= lo + 4, (n, r)
+        finally:
+            iv.prec = saved
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 97, 194])
+    def test_bounds_against_balls(self, n):
+        ctx = balls.PrecisionContext(128)
+        table = cyclotomic._log_sine_table(n)
+        for r in range(1, n):
+            ball = balls.log2_ball(balls.ball_mul_int(balls.sin_pi_rational(r, n, ctx), 2, ctx.wp), ctx)
+            mid, rad = balls.mpf_to_fraction(ball.mid), balls.mpf_to_fraction(ball.rad)
+            assert (mid + rad) * 2**20 <= table[r] <= (mid - rad) * 2**20 + 4, (n, r)
 
 
 class TestSineRatio:
@@ -246,6 +308,25 @@ class TestVerify:
                 assert verify_u_relation(100, LinearForm(U_SPACE, 100, tuple(bumped))) is False
 
 
+@lru_cache(maxsize=None)
+def _identity_rows(m):
+    return tuple(tuple(int(c) for c in f.coeffs) for f in identity_u_basis(m).forms)
+
+
+@given(st.sampled_from((12, 42, 60, 100, 105)), st.data())
+@settings(max_examples=20, deadline=None)
+def test_verdict_is_span_membership(m, data):
+    # independent oracle: a form is a relation iff it lies in the span of the
+    # identity basis, judged by the rank of the basis with the form appended
+    rows = _identity_rows(m)
+    coeffs = data.draw(st.lists(st.integers(-1000, 1000), min_size=len(rows), max_size=len(rows)))
+    vec = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(len(rows[0]))]
+    if data.draw(st.booleans()):
+        vec[data.draw(st.integers(0, len(vec) - 1))] += data.draw(st.sampled_from((-1, 1)))
+    in_span = rref(rows + (tuple(vec),)).rank == len(rows)
+    assert verify_u_relation(m, LinearForm(U_SPACE, m, tuple(vec))) is in_span
+
+
 def test_prime_power_product_identities():
     # the multiplicative identity behind the prime-power relations, checked
     # exactly at conductor m for every admissible (r, k)
@@ -269,3 +350,21 @@ def test_products_equal_all_roots_verdicts():
     assert binomial_products_equal(4, [(0, 1, 2)], [(3, 1, 1)]) is True
     assert binomial_products_equal(4, [(0, 1, 2)], [(0, 1, 1), (0, 3, 1)]) is False
     assert signed_products_equal(4, [(0, 1, 1), (0, 3, 1)], [(0, 1, 2), (3, 1, -1)]) is False
+
+
+@pytest.mark.parametrize("n", [8, 10, 24, 60])
+def test_all_roots_large_exponents(n):
+    # (1 - z^2)^e = ((1 - z)(1 + z))^e with 1 + z = 1 - z^(n/2 + 1)
+    one_plus = (0, n // 2 + 1)
+    for e in (1000, 4321):
+        assert binomial_products_equal(n, [(0, 2, e)], [(0, 1, e), (*one_plus, e)]) is True
+        for d in (-1, 1):
+            assert binomial_products_equal(n, [(0, 2, e + d)], [(0, 1, e), (*one_plus, e)]) is False
+            assert binomial_products_equal(n, [(0, 2, e)], [(0, 1, e + d), (*one_plus, e)]) is False
+
+def test_zero_factors():
+    # z^a - z^a is zero; with exponent 0 it is the empty product
+    assert binomial_products_equal(8, [(3, 3, 5)], [(1, 1, 2)]) is True
+    assert binomial_products_equal(8, [(3, 3, 5)], [(0, 1, 1)]) is False
+    assert binomial_products_equal(8, [(0, 1, 1)], [(0, 1, 1), (2, 2, 1)]) is False
+    assert binomial_products_equal(8, [(3, 3, 0), (0, 1, 2000)], [(0, 1, 2000)]) is True
