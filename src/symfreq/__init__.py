@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .balls import PrecisionContext, RealBall
 from .cyclotomic import CyclotomicDegreeError, cyclotomic_poly, verify_u_relation
-from .frequencies import evaluate_form, h_series, h_value, s_value, u_value
+from .frequencies import evaluate_form, h_value, s_value, u_value
 from .linalg import LinearForm, Rational, form_add, form_scale, rref
 from .relations import (
     ModulusProfile,
@@ -24,15 +24,11 @@ from .relations import (
     u_basis,
 )
 from .solver import (
-    ConjectureRecord,
     DiscoveryReport,
     ExpressionTable,
-    closed_form_dimension,
-    conjecture_check,
     discover_relations,
     express_dependents,
     relation_basis,
-    s_relation_basis,
     scan_range,
 )
 
@@ -43,7 +39,6 @@ __all__ = [
     "cyclotomic_poly",
     "verify_u_relation",
     "evaluate_form",
-    "h_series",
     "h_value",
     "s_value",
     "u_value",
@@ -66,14 +61,10 @@ __all__ = [
     "short_s_relation",
     "two_p_u_basis",
     "u_basis",
-    "ConjectureRecord",
     "DiscoveryReport",
     "ExpressionTable",
-    "closed_form_dimension",
-    "conjecture_check",
     "discover_relations",
     "express_dependents",
     "relation_basis",
-    "s_relation_basis",
     "scan_range",
 ]

@@ -238,13 +238,6 @@ def ball_mul_fraction(a: RealBall, q, prec: int) -> RealBall:
     return ball_div_int(ball_mul_int(a, q.numerator, prec + 8), q.denominator, prec)
 
 
-def ball_sum(balls, prec: int) -> RealBall:
-    acc = ball_exact_zero(prec)
-    for b in balls:
-        acc = ball_add(acc, b, prec)
-    return acc
-
-
 def ball_inflate(a: RealBall, extra) -> RealBall:
     return RealBall(a.mid, _radd(a.rad, extra), a.prec)
 

@@ -25,7 +25,7 @@ from . import __version__
 from . import frequencies
 from .balls import PrecisionContext, RealBall, mpf_to_fraction
 from .cyclotomic import scaled_exponents, verify_u_relation
-from .linalg import S_SPACE, U_SPACE, form_from_json, form_to_json, rat_to_str
+from .linalg import S_SPACE, U_SPACE, form_from_json, form_to_json, format_terms
 from .relations import UnsupportedModulus, phi_forward, phi_inverse, u_basis
 from .solver import discover_relations, express_dependents, scan_range
 
@@ -220,16 +220,8 @@ def _render_text(command: str, payload: dict) -> str:
         lines = []
         for rel in payload["relations"]:
             var = "X" if rel["space"] == S_SPACE else "Y"
-            parts = []
-            for idx in sorted(rel["coeffs"], key=int):
-                c = Fraction(rel["coeffs"][idx])
-                mag = abs(c)
-                term = f"{var}{idx}" if mag == 1 else f"{rat_to_str(mag)}*{var}{idx}"
-                if not parts:
-                    parts.append(term if c > 0 else f"-{term}")
-                else:
-                    parts.append(f"+ {term}" if c > 0 else f"- {term}")
-            lines.append(" ".join(parts) if parts else "0")
+            terms = ((f"{var}{i}", Fraction(rel["coeffs"][i])) for i in sorted(rel["coeffs"], key=int))
+            lines.append(format_terms(terms) or "0")
         return "\n".join(lines)
     if command == "scan":
         lines = []

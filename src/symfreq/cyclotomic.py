@@ -7,17 +7,18 @@ ratio is an element of the cyclotomic field of conductor 2m:
     sin(pi*k/m)/sin(pi/m) = z^(1-k) * (1 - z^(2k)) / (1 - z^2),   z = zeta_2m,
 
 so after clearing denominators the whole check is an equality A = B between
-two products of binomials z^a - z^b in Z[z].  It is decided by evaluation at
-split primes: for a prime p = 1 (mod 2m) and an element w of order 2m in
-F_p, each map z -> w^j with j a unit mod 2m is a ring homomorphism
-Z[z] -> F_p.  A mismatch at one of them disproves the claim.  Agreement at
-all of them, over primes whose product P exceeds 2^bits, proves it once
-bits bounds the mean over the complex embeddings sigma of
-log2|sigma(A - B)|: a nonzero A - B in PZ[z] would have a norm of at least
-P^phi(2m), too large for that mean.  The bound comes from a cached table of
-log2|2 sin(pi r/2m)| in integer fixed point, rounded up, and is only
-computed once the first prime agrees, so a rejection never pays for it.  No
-floating point is involved.
+a root of unity times a product of factors 1 - z^c and another such product
+in Z[z].  `verify_u_relation` is the one entry point.  The equality is
+decided by evaluation at split primes: for a prime p = 1 (mod 2m) and an
+element w of order 2m in F_p, each map z -> w^j with j a unit mod 2m is a
+ring homomorphism Z[z] -> F_p.  A mismatch at one of them disproves the
+claim.  Agreement at all of them, over primes whose product P exceeds
+2^bits, proves it once bits bounds the mean over the complex embeddings
+sigma of log2|sigma(A - B)|: a nonzero A - B in PZ[z] would have a norm of
+at least P^phi(2m), too large for that mean.  The bound comes from a cached
+table of log2|2 sin(pi r/2m)| in integer fixed point, rounded up, and is
+only computed once the first prime agrees, so a rejection never pays for
+it.  No floating point is involved.
 """
 
 from __future__ import annotations
@@ -188,12 +189,12 @@ def _log2_up(y: int) -> int:
 def _log_sine_table(n: int) -> tuple[int, ...]:
     """T with T[r] >= 2^20 log2|2 sin(pi r/n)| for r = 1..n-1, and T[0] = 0.
 
-    Under every embedding z -> zeta_n^j, |z^a - z^b| = |2 sin(pi (b-a) j/n)|,
-    so T[(b-a) j mod n] bounds its log2 from above; T[0] = 0 bounds
-    log2|z^a - z^a| = log2 0 as well.  Folded to r <= n/2, pi r/n lies in
-    (0, pi/2]; its upper bound X = ceil(_PI_UP r/n) / 2^64 exceeds it by
-    under 2^-62, far less than the gap pi/(2n) to pi/2 when 2r < n, so
-    sin(X) >= sin(pi r/n) there.
+    Under every embedding z -> zeta_n^j, |1 - z^c| = |2 sin(pi c j/n)|, so
+    T[c j mod n] bounds its log2 from above; T[0] is a placeholder that the
+    certificate never reads.  Folded to r <= n/2, pi r/n lies in (0, pi/2];
+    its upper bound X = ceil(_PI_UP r/n) / 2^64 exceeds it by under 2^-62,
+    far less than the gap pi/(2n) to pi/2 when 2r < n, so sin(X) >=
+    sin(pi r/n) there.
     """
     half = [0]
     for r in range(1, n // 2 + 1):
@@ -212,7 +213,7 @@ def _norm_bits(n: int, left, right, units) -> int:
     """
     table = _log_sine_table(n)
     total = sum(
-        max(sum(e * table[(b - a) * j % n] for a, b, e in side) for side in (left, right))
+        max(sum(e * table[c * j % n] for c, e in side) for side in (left, right))
         for j in units
     )
     return 1 - (-total // (len(units) << LOG_UNIT_BITS))
@@ -221,28 +222,25 @@ def _norm_bits(n: int, left, right, units) -> int:
 def _products_agree(n: int, twist: int, left, right, units) -> bool:
     """Whether z^twist * prod(left) = prod(right) in Z[z], z = zeta_n.
 
-    `left` and `right` hold (a, b, e) for factors (z^a - z^b)^e with e >= 0.
-    Both sides are evaluated at z -> w^j mod p for each j in `units` and each
-    split prime p, with non-negative exponents only.  A mismatch at one root
-    proves that the difference D of the two sides is nonzero.  Agreement at
-    every j of a prime p puts D in every prime ideal above p, hence in pZ[z];
-    over primes whose product P exceeds 2^bits, D lies in PZ[z], so a
-    nonzero D would have |N(D)| >= P^phi(n) > 2^(bits phi(n)).  Here bits is
-    the smaller of two bounds on the mean of log2|sigma(D)| over the
-    embeddings sigma, each of which caps |N(D)| = prod |sigma(D)| at
-    2^(bits phi(n)): M + 1, as every factor has absolute value at most 2
-    (M = max(sum of left e, sum of right e)), and `_norm_bits`, the same
-    mean taken factor by factor from the log-sine table.  So D = 0.  The
-    table bound is computed only after the first prime agrees; for a true
-    relation it is usually below the 61 bits of that prime.
-
-    `units` is all of (Z/n)^*, or one j of each pair {j, -j} when complex
-    conjugation maps D to a root of unity times D: then D vanishes at w^j
-    iff it vanishes at w^(-j), and the mean over the pairs is the mean over
-    all units, since |sigma_(-j)(x)| = |sigma_j(x)| for every x.
+    `left` and `right` hold (c, e) for factors (1 - z^c)^e with e > 0, and
+    `units` holds one j of each pair {j, -j} of units mod n, chosen so that
+    complex conjugation maps the difference D of the two sides to a root of
+    unity times D (see `verify_u_relation`).  Both sides are evaluated at
+    z -> w^j mod p for each j in `units` and each split prime p.  A mismatch
+    at one root proves D nonzero.  Agreement at every j of a prime p puts D
+    in every prime ideal above p, since D vanishes at w^j iff it vanishes at
+    w^(-j), hence in pZ[z]; over primes whose product P exceeds 2^bits, D
+    lies in PZ[z], so a nonzero D would have |N(D)| >= P^phi(n) >
+    2^(bits phi(n)).  Here bits is the smaller of two bounds on the mean of
+    log2|sigma(D)| over the embeddings sigma, each of which caps
+    |N(D)| = prod |sigma(D)| at 2^(bits phi(n)): M + 1, as every factor has
+    absolute value at most 2 (M = max(sum of left e, sum of right e)), and
+    `_norm_bits`, the same mean taken factor by factor from the log-sine
+    table; the mean over `units` is the mean over all embeddings, since
+    |sigma_(-j)(x)| = |sigma_j(x)| for every x.  So D = 0.  The table bound
+    is computed only after the first prime agrees; for a true relation it is
+    usually below the 61 bits of that prime.
     """
-    left = list(left)
-    right = list(right)
 
     def agree(p: int, w: int) -> bool:
         powers = [1] * n
@@ -250,48 +248,20 @@ def _products_agree(n: int, twist: int, left, right, units) -> bool:
             powers[i] = powers[i - 1] * w % p
         for j in units:
             lhs = powers[twist * j % n]
-            for a, b, e in left:
-                lhs = lhs * pow(powers[a * j % n] - powers[b * j % n], e, p) % p
+            for c, e in left:
+                lhs = lhs * pow(1 - powers[c * j % n], e, p) % p
             rhs = 1
-            for a, b, e in right:
-                rhs = rhs * pow(powers[a * j % n] - powers[b * j % n], e, p) % p
+            for c, e in right:
+                rhs = rhs * pow(1 - powers[c * j % n], e, p) % p
             if lhs != rhs:
                 return False
         return True
 
     if not agree(*split_primes(n, 1)[0]):
         return False
-    mass = max(sum(e for *_, e in left), sum(e for *_, e in right))
+    mass = max(sum(e for _, e in left), sum(e for _, e in right))
     bits = min(mass + 1, _norm_bits(n, left, right, units))
     return all(agree(p, w) for p, w in split_primes(n, bits)[1:])
-
-
-def binomial_products_equal(n: int, left, right) -> bool:
-    """Whether two products of (zeta_n^a - zeta_n^b)^e factors coincide in Q(zeta_n).
-
-    `left` and `right` are iterables of (a, b, e) with e >= 0.  The check is
-    exact: both sides are compared at all phi(n) primitive n-th roots of
-    unity modulo split primes whose product exceeds the norm bound (see
-    `_products_agree`).
-    """
-    _check_degree(n)
-    units = [j for j in range(n) if gcd(j, n) == 1]
-    return _products_agree(n, 0, left, right, units)
-
-
-def signed_products_equal(n: int, lhs, rhs) -> bool:
-    """Like binomial_products_equal, but exponents may be negative.
-
-    Negative exponents are moved to the opposite side before the
-    cross-multiplied comparison, so the statement prod(lhs) = prod(rhs) is
-    checked as an identity between two genuine products.
-    """
-    left: list[tuple[int, int, int]] = []
-    right: list[tuple[int, int, int]] = []
-    for factors, same, other in ((lhs, left, right), (rhs, right, left)):
-        for a, b, e in factors:
-            (same if e >= 0 else other).append((a, b, abs(e)))
-    return binomial_products_equal(n, left, right)
 
 
 # ----------------------------------------------------------------------
@@ -317,18 +287,19 @@ def verify_u_relation(m: int, form: LinearForm) -> bool:
         B = prod_{e_k<0} (1 - z^(2k))^(-e_k) * (1 - z^2)^max(S, 0),
 
     each a product of M = max(sum of positive e_k, sum of |negative e_k|)
-    binomials times a root of unity.  It is decided exactly at split primes
-    (see `_products_agree`).  Under z -> zeta_n^j the factor 1 - z^(2k) has
-    absolute value |2 sin(2 pi k j/n)|, so the primes needed follow the mean
-    over j of the larger side's log2 absolute value (log2|N(A)|/phi(n) for
-    a true relation) rather than M: one prime for most claims.  Only the j
-    in (Z/n)^* with j < m are checked.  That suffices because A/B is real:
-    up to one root of unity common to A and B, both are products of M
-    binomials z^(1-k) - z^(1+k) and 1 - z^2, each z^a - z^b with
-    a + b = 2 (mod n), which complex conjugation sends to -z^(-2) times
-    itself.  So conjugation maps A - B to a root of unity times
-    A - B, and A - B vanishes at w^j iff it vanishes at w^(-j).  Returns True
-    iff the relation is exactly valid.
+    factors 1 - z^c, c = 2k with 1 <= k <= m/2, times a root of unity.  No
+    factor vanishes under an embedding z -> zeta_n^j: c j = 0 (mod n) would
+    make m divide k j, hence k, as j is a unit.  The identity is decided
+    exactly at split primes (see `_products_agree`).  Under z -> zeta_n^j
+    the factor 1 - z^(2k) has absolute value |2 sin(2 pi k j/n)|, so the
+    primes needed follow the mean over j of the larger side's log2 absolute
+    value (log2|N(A)|/phi(n) for a true relation) rather than M: one prime
+    for most claims.  Only the j in (Z/n)^* with j < m are checked.  That
+    suffices because A/B is real: up to one root of unity common to A and
+    B, both are products of M binomials z^(1-k) - z^(1+k) and 1 - z^2, each
+    z^a - z^b with a + b = 2 (mod n), which complex conjugation sends to
+    -z^(-2) times itself.  So conjugation maps A - B to a root of unity
+    times A - B.  Returns True iff the relation is exactly valid.
     """
     if form.space != U_SPACE:
         raise ValueError("verify_u_relation expects a U-space form")
@@ -341,11 +312,11 @@ def verify_u_relation(m: int, form: LinearForm) -> bool:
         return True
     twist = sum(e * (1 - k) for k, e in exps.items()) % n
     total = sum(exps.values())
-    left = [(0, 2 * k % n, e) for k, e in exps.items() if e > 0]
-    right = [(0, 2 * k % n, -e) for k, e in exps.items() if e < 0]
+    left = [(2 * k, e) for k, e in exps.items() if e > 0]
+    right = [(2 * k, -e) for k, e in exps.items() if e < 0]
     if total < 0:
-        left.append((0, 2, -total))
+        left.append((2, -total))
     elif total > 0:
-        right.append((0, 2, total))
+        right.append((2, total))
     units = [j for j in range(1, m) if gcd(j, n) == 1]
     return _products_agree(n, twist, left, right, units)

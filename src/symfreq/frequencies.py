@@ -8,22 +8,14 @@ Three families of numbers are produced, all as midpoint-radius balls:
 * s_value(m, d): the symmetric frequency, through sine ratios;
 * u_value(m, k): log2(sin(pi k/m)/sin(pi/m)), the working coordinates for
   relation hunting (u_value(m, 1) is exactly zero).
-
-h_series is an independent series oracle for h_value: it sums the
-single-digit frequencies log2((j+1)^2/(j(j+2))) over the arithmetic
-progression j = d mod m directly, in IEEE double arithmetic with an explicit
-worst-case rounding bound, plus the tail bound (1/ln 2)/J.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
-from mpmath import libmp
 
 from . import balls
 from .balls import PrecisionContext, RealBall
@@ -45,20 +37,17 @@ def _check_index(kind: str, m: int, index: int):
 
 
 def index_range(kind: str, m: int) -> tuple[int, int]:
-    half = m // 2
-    if kind == "H":
-        return 1, m
-    if kind == "S":
-        return 1, half - 1
-    if kind == "U":
-        return 1, half
-    raise ValueError(f"unknown value kind {kind!r}")
+    """The valid indices lo..hi of a kind at modulus m; H and U need m >= 2, S m >= 4."""
+    if kind not in ("H", "S", "U"):
+        raise ValueError(f"unknown value kind {kind!r}")
+    least = 4 if kind == "S" else 2
+    if m < least:
+        raise ValueError(f"{kind}-values need a modulus m >= {least}, got {m}")
+    return 1, {"H": m, "S": m // 2 - 1, "U": m // 2}[kind]
 
 
 def h_value(m: int, d: int, ctx: PrecisionContext) -> RealBall:
     """Frequency of digits = d mod m via the Gamma closed form."""
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
     _check_index("H", m, d)
     wp = ctx.wp
     acc = balls.ball_add(
@@ -71,35 +60,6 @@ def h_value(m: int, d: int, ctx: PrecisionContext) -> RealBall:
     return balls._restamp(balls.ball_div(acc, balls._ln2_cached(wp), wp), ctx.prec)
 
 
-def h_series(m: int, d: int, terms: int) -> RealBall:
-    """Independent oracle for h_value: truncated digit-frequency series.
-
-    Sums log2((j+1)^2 / (j (j+2))) over j = d, d+m, d+2m, ... <= terms.  The
-    truncation tail is bounded by (1/ln 2)/terms (each term is below
-    (1/ln 2)/j^2), and the double-precision product accumulates a worst-case
-    relative error below 6*K*2^-53 for K factors.
-    """
-    if m < 1:
-        raise ValueError("modulus must be at least 1")
-    if not 1 <= d <= m:
-        raise ValueError(f"H-index {d} out of range 1..{m}")
-    if terms < m:
-        raise ValueError("term bound must be at least m")
-    j = np.arange(d, terms + 1, m, dtype=np.float64)
-    # (j+1)^2 and j(j+2) are exact in doubles up to ~2^26 factors beyond 1e6 terms
-    ratios = ((j + 1.0) * (j + 1.0)) / (j * (j + 2.0))
-    prod = float(np.prod(ratios))
-    mid = math.log2(prod)
-    k = len(j)
-    tail = 1.0 / (math.log(2) * terms)
-    rounding = 18.0 * k * 2.0**-53 + 2.0**-50
-    rad = tail + rounding
-    # floats convert to mpf exactly through the raw layer, independent of the
-    # global mpmath precision
-    make = mpmath.mp.make_mpf
-    return RealBall(make(libmp.from_float(mid)), make(libmp.from_float(rad)), 53)
-
-
 def s_value(m: int, d: int, ctx: PrecisionContext) -> RealBall:
     """Symmetric frequency via sine ratios.
 
@@ -107,8 +67,6 @@ def s_value(m: int, d: int, ctx: PrecisionContext) -> RealBall:
     the boundary index d = m'-1 uses the single-ratio form
     log2(sin(pi m'/m)/sin(pi(m'-1)/m)) for either parity of m.
     """
-    if m < 4:
-        raise ValueError("modulus must be at least 4")
     half = m // 2
     _check_index("S", m, d)
     wp = ctx.wp
@@ -130,8 +88,6 @@ def s_value(m: int, d: int, ctx: PrecisionContext) -> RealBall:
 
 def u_value(m: int, k: int, ctx: PrecisionContext) -> RealBall:
     """log2(sin(pi k/m)/sin(pi/m)); exactly zero at k = 1."""
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
     _check_index("U", m, k)
     if k == 1:
         return balls.ball_exact_zero(ctx.prec)

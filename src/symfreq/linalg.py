@@ -36,6 +36,19 @@ def rat_from_str(s: str) -> Fraction:
     return Fraction(s.strip())
 
 
+def format_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """Nonzero (variable, coefficient) terms as "X1 - 2*X2 + 1/3*X4"; "" if none."""
+    parts = []
+    for var, c in terms:
+        mag = abs(c)
+        term = var if mag == 1 else f"{rat_to_str(mag)}*{var}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts)
+
+
 @dataclass(frozen=True)
 class LinearForm:
     """A rational linear form over the S- or U-variables of a fixed modulus.
@@ -137,7 +150,7 @@ def form_from_json(obj: Mapping) -> LinearForm:
         m = int(obj["m"])
         space = str(obj["space"])
         coeffs = {int(k): rat_from_str(str(v)) for k, v in obj["coeffs"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed relation object: {exc}") from exc
     return LinearForm.from_map(space, m, coeffs)
 

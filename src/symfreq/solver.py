@@ -1,6 +1,6 @@
 """Relation-space linear algebra: elimination tables, dimensions, discovery.
 
-Elimination tables, the dimension check and the scan take their relations
+Elimination tables and the scan take their relations
 from `relation_basis`: the constructed basis for the covered shapes and the
 cyclotomic-identity basis otherwise.  Both are exact and complete, so the
 t they report is the dimension of the span, with no numerics involved.
@@ -21,31 +21,24 @@ rejected residual) that nothing further exists at the scanned precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import frequencies
 from .balls import PrecisionContext, mpf_to_fraction
 from .cyclotomic import verify_u_relation
 from .intmath import euler_phi
-from .linalg import LinearForm, U_SPACE, integer_row, rat_to_str, rref, stack_forms
+from .linalg import LinearForm, U_SPACE, format_terms, integer_row, rat_to_str, rref, stack_forms
 from .lll import lll_reduce
 from .relations import (
     CASE_PRIME,
     RelationBasis,
     UnsupportedModulus,
-    closed_form_count,
     identity_u_basis,
     modulus_profile,
     phi_coeffs,
-    phi_forward,
     u_basis,
 )
-
-
-def s_relation_basis(m: int) -> list[LinearForm]:
-    """Constructed S-space relation basis: the image of the U-basis."""
-    return [phi_forward(f) for f in u_basis(m).forms]
 
 
 def relation_basis(m: int) -> RelationBasis:
@@ -59,13 +52,6 @@ def relation_basis(m: int) -> RelationBasis:
         return u_basis(m)
     except UnsupportedModulus:
         return identity_u_basis(m)
-
-
-def closed_form_dimension(m: int) -> int | None:
-    """Relation-space dimension for the covered shapes, None otherwise."""
-    if m < 4:
-        raise ValueError("dimension formulas need m >= 4")
-    return closed_form_count(m)
 
 
 # ----------------------------------------------------------------------
@@ -100,43 +86,26 @@ class ExpressionTable:
         }
 
     def render_text(self) -> str:
-        lines = []
-        for d, coeffs in self.rows:
-            if not coeffs:
-                lines.append(f"S{d} = 0")
-                continue
-            parts = []
-            for j, c in coeffs:
-                mag = abs(c)
-                term = f"S{j}" if mag == 1 else f"{rat_to_str(mag)}*S{j}"
-                if not parts:
-                    parts.append(term if c > 0 else f"-{term}")
-                else:
-                    parts.append(f"+ {term}" if c > 0 else f"- {term}")
-            lines.append(f"S{d} = " + " ".join(parts))
-        return "\n".join(lines)
+        return "\n".join(
+            f"S{d} = " + (format_terms((f"S{j}", c) for j, c in coeffs) or "0")
+            for d, coeffs in self.rows
+        )
 
 
-def express_dependents(m: int, sforms: list[LinearForm] | None = None) -> ExpressionTable:
+def express_dependents(m: int) -> ExpressionTable:
     """Eliminate the S-relation matrix and express dependent S-values.
 
-    Without sforms the relations come from relation_basis(m) and the method
-    is its provenance; given sforms, the method is "provided".  The table is
-    always produced from the actual pivots; trailing_ok flags whether they
-    were the leading columns.
+    The relations come from relation_basis(m) and the method is its
+    provenance.  The table is always produced from the actual pivots;
+    trailing_ok flags whether they were the leading columns.
     """
     if m < 4:
         raise ValueError("expression tables need m >= 4")
     half = m // 2
-    if sforms is None:
-        basis = relation_basis(m)
-        rows = [phi_coeffs(integer_row(f.coeffs)) for f in basis.forms]
-        method = basis.provenance
-    else:
-        rows = stack_forms(sforms)
-        method = "provided"
+    basis = relation_basis(m)
+    rows = [phi_coeffs(integer_row(f.coeffs)) for f in basis.forms]
     if not rows:
-        return ExpressionTable(m, half - 1, (), True, method)
+        return ExpressionTable(m, half - 1, (), True, basis.provenance)
     result = rref(rows)
     rank = result.rank
     t = (half - 1) - rank
@@ -147,7 +116,7 @@ def express_dependents(m: int, sforms: list[LinearForm] | None = None) -> Expres
     for pcol, entries in zip(result.pivots, result.rows):
         coeffs = tuple((c + 1, -entries[c]) for c in free if entries[c])
         table.append((pcol + 1, coeffs))
-    return ExpressionTable(m, t, tuple(table), trailing_ok, method)
+    return ExpressionTable(m, t, tuple(table), trailing_ok, basis.provenance)
 
 
 # ----------------------------------------------------------------------
@@ -277,47 +246,6 @@ def _row_norm(coeffs, resid: int, shift: int) -> float:
     return math.sqrt(s) if s < math.inf else math.inf
 
 
-# ----------------------------------------------------------------------
-# The dimension formula
-
-
-@dataclass(frozen=True)
-class ConjectureRecord:
-    m: int
-    t: int
-    formula_value: int
-    match: bool
-    method: str
-    formula_applies: bool
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "t": self.t,
-            "formula_value": self.formula_value,
-            "match": self.match,
-            "method": self.method,
-            "formula_applies": self.formula_applies,
-        }
-
-
-def conjecture_check(m: int) -> ConjectureRecord:
-    """Compare the span dimension t against phi(m)/2 - 1 + omega(m).
-
-    t = m' - 1 - dim, where dim is the size of relation_basis(m): an exact,
-    complete basis of the relation space, so t is the span dimension itself
-    for every m.  Prime m is flagged as outside the formula's scope: there
-    t = (p-3)/2.
-    """
-    prof = modulus_profile(m)
-    basis = relation_basis(m)
-    t = (m // 2 - 1) - len(basis.forms)
-    formula = euler_phi(m) // 2 - 1 + len(prof.factorization)
-    return ConjectureRecord(
-        m, t, formula, t == formula, basis.provenance, prof.case != CASE_PRIME
-    )
-
-
 @dataclass(frozen=True)
 class ScanRow:
     m: int
@@ -330,20 +258,17 @@ class ScanRow:
     method: str
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "case": self.case,
-            "t": self.t,
-            "formula_value": self.formula_value,
-            "formula_applies": self.formula_applies,
-            "match": self.match,
-            "trailing_basis_ok": self.trailing_basis_ok,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def scan_range(lo: int, hi: int) -> list[ScanRow]:
-    """Per-modulus dimension and trailing-basis report over a range."""
+    """Per-modulus dimension and trailing-basis report over a range.
+
+    Each row's t is the span dimension m' - 1 - rank of an exact, complete
+    relation basis, compared against phi(m)/2 - 1 + omega(m).  Prime m lies
+    outside the formula's scope (formula_applies is False): there
+    t = (p-3)/2.
+    """
     if lo < 4 or hi < lo:
         raise ValueError("scan needs 4 <= from <= to")
     out = []

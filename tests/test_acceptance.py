@@ -12,11 +12,12 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from series_oracle import h_series
 from symfreq import balls
 from symfreq.balls import PrecisionContext
 from symfreq.cli import main
 from symfreq.cyclotomic import verify_u_relation
-from symfreq.frequencies import h_series, h_value, s_value, u_value
+from symfreq.frequencies import h_value, s_value, u_value
 from symfreq.linalg import LinearForm, U_SPACE, rref, stack_forms
 from symfreq.relations import UnsupportedModulus, phi_inverse, short_s_relation, u_basis
 from symfreq.relations import closed_form_count, modulus_profile

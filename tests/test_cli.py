@@ -6,8 +6,7 @@ import pytest
 
 from symfreq.cli import EXIT_OK, EXIT_UNSUPPORTED, EXIT_USAGE, EXIT_VERIFY_FAILED, decimal_up
 from symfreq.linalg import form_to_json
-from symfreq.relations import u_basis
-from symfreq.solver import s_relation_basis
+from symfreq.relations import phi_forward, u_basis
 
 
 class TestFreq:
@@ -82,6 +81,10 @@ class TestFreq:
         code, _ = run_cli("freq", "--m", "12", "--kind", "S", "--index", "6")
         assert code == EXIT_USAGE
         assert "1..5" in capsys.readouterr().err
+        # moduli below the least of each kind have no indices at all
+        for m, kind in (("0", "H"), ("-3", "U"), ("3", "S")):
+            code, out = run_cli("freq", "--m", m, "--kind", kind)
+            assert code == EXIT_USAGE and out == "", (m, kind)
 
 
 class TestBasis:
@@ -104,7 +107,7 @@ class TestBasis:
     def test_m27_s_space(self, run_cli_json):
         code, doc = run_cli_json("basis", "--m", "27", "--space", "S")
         got = [r["coeffs"] for r in doc["payload"]["relations"]]
-        expected = [form_to_json(f)["coeffs"] for f in s_relation_basis(27)]
+        expected = [form_to_json(phi_forward(f))["coeffs"] for f in u_basis(27).forms]
         assert got == expected
 
     def test_unsupported_exit_code(self, run_cli, capsys):
@@ -134,7 +137,7 @@ class TestVerify:
 
     def test_s_space_converted(self, run_cli_json, tmp_path):
         f = tmp_path / "s.json"
-        f.write_text(json.dumps(form_to_json(s_relation_basis(27)[0])))
+        f.write_text(json.dumps(form_to_json(phi_forward(u_basis(27).forms[0]))))
         code, doc = run_cli_json("verify", "--m", "27", "--relations", str(f), "--mode", "exact")
         assert code == EXIT_OK
         assert doc["payload"]["relations"][0]["exact"]["pass"]
@@ -150,9 +153,15 @@ class TestVerify:
         f.write_text("{not json")
         code, _ = run_cli("verify", "--m", "27", "--relations", str(f))
         assert code == EXIT_USAGE
-        f.write_text(json.dumps({"m": 27, "space": "U"}))
-        code, _ = run_cli("verify", "--m", "27", "--relations", str(f))
-        assert code == EXIT_USAGE
+        for doc in (
+            {"m": 27, "space": "U"},
+            {"m": 27, "space": "U", "coeffs": {"2": "1/0"}},
+            {"m": 27, "space": "U", "coeffs": None},
+            {"m": 27, "space": "U", "coeffs": [["2", "1"]]},
+        ):
+            f.write_text(json.dumps(doc))
+            code, _ = run_cli("verify", "--m", "27", "--relations", str(f))
+            assert code == EXIT_USAGE, doc
 
     def test_modulus_mismatch(self, run_cli, tmp_path):
         f = tmp_path / "wrong.json"

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from series_oracle import h_series
 from symfreq import balls
 from symfreq.balls import PrecisionContext, log2_of_fraction
 from symfreq.frequencies import (
     evaluate_form,
     frequency_value,
-    h_series,
     h_value,
     index_range,
     residual_report,

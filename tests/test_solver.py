@@ -11,21 +11,14 @@ from symfreq.linalg import LinearForm, S_SPACE, U_SPACE, form_scale, form_add, r
 from symfreq import solver
 from symfreq.relations import (
     UnsupportedModulus,
+    closed_form_count,
     identity_u_basis,
     phi_forward,
     phi_inverse,
     short_s_relation,
     u_basis,
 )
-from symfreq.solver import (
-    closed_form_dimension,
-    conjecture_check,
-    discover_relations,
-    express_dependents,
-    relation_basis,
-    s_relation_basis,
-    scan_range,
-)
+from symfreq.solver import discover_relations, express_dependents, relation_basis, scan_range
 
 M27_S_RELATIONS = [
     (1, 1, 0, -1, -2, -2, -3, -3, -3, -2, -2, -2),
@@ -62,17 +55,17 @@ def table_as_dicts(table):
 
 class TestSRelationBasis:
     def test_m27_exact_vectors(self):
-        forms = s_relation_basis(27)
+        forms = [phi_forward(f) for f in u_basis(27).forms]
         assert [tuple(f.coeffs) for f in forms] == [
             tuple(F(x) for x in row) for row in M27_S_RELATIONS
         ]
 
     def test_prime_empty(self):
-        assert s_relation_basis(5) == []
+        assert [phi_forward(f) for f in u_basis(5).forms] == []
 
     def test_general_propagates(self):
         with pytest.raises(UnsupportedModulus):
-            s_relation_basis(12)
+            [phi_forward(f) for f in u_basis(12).forms]
 
 
 class TestExpress:
@@ -105,7 +98,7 @@ class TestExpress:
         # replacing each dependent S_d by its expression must kill every
         # S-relation of the stack, exactly
         for m in (27, 32, 35):
-            forms = s_relation_basis(m)
+            forms = [phi_forward(f) for f in u_basis(m).forms]
             table = express_dependents(m)
             exprs = table_as_dicts(table)
             for rel in forms:
@@ -146,31 +139,27 @@ class TestExpress:
         for m in (12, 18, 20, 24):
             found = discover_relations(m, 512).basis.forms
             assert same_span(identity_u_basis(m).forms, found), m
-            table = express_dependents(m)
-            assert table.method == "identities"
-            assert table_as_dicts(table) == table_as_dicts(
-                express_dependents(m, sforms=[phi_forward(f) for f in found])
-            ), m
+            assert express_dependents(m).method == "identities"
 
 
 class TestClosedFormDimension:
     def test_examples(self):
-        assert closed_form_dimension(27) == 3
-        assert closed_form_dimension(35) == 3
-        assert closed_form_dimension(12) is None
-        assert closed_form_dimension(5) == 0
-        assert closed_form_dimension(9) == 0
+        assert closed_form_count(27) == 3
+        assert closed_form_count(35) == 3
+        assert closed_form_count(12) is None
+        assert closed_form_count(5) == 0
+        assert closed_form_count(9) == 0
 
     def test_matches_basis_sizes_to_60(self):
         for m in range(4, 61):
-            expect = closed_form_dimension(m)
+            expect = closed_form_count(m)
             if expect is None:
                 continue
             forms = u_basis(m).forms
             assert len(forms) == expect
             if forms:
                 assert rref(stack_forms(forms)).rank == expect
-            sforms = s_relation_basis(m)
+            sforms = [phi_forward(f) for f in u_basis(m).forms]
             assert len(sforms) == expect
             if sforms:
                 assert rref(stack_forms(sforms)).rank == expect
@@ -225,26 +214,6 @@ class TestDiscovery:
             discover_relations(12, 64)
 
 
-class TestConjecture:
-    def test_worked_examples(self):
-        for m, t in ((27, 9), (32, 8), (35, 13)):
-            rec = conjecture_check(m)
-            assert rec.t == t and rec.formula_value == t and rec.match
-            assert rec.method == "constructed" and rec.formula_applies
-
-    def test_prime_flagged(self):
-        rec = conjecture_check(5)
-        assert rec.t == 1 and rec.formula_value == 2
-        assert not rec.match and not rec.formula_applies
-
-    def test_general_discovered(self):
-        rec = conjecture_check(12)
-        assert rec.method == "identities" and rec.t == 3 and rec.match
-        found = discover_relations(12, 512).basis.forms
-        assert same_span(identity_u_basis(12).forms, found)
-        assert rec.t == 12 // 2 - 1 - len(found)
-
-
 class TestOracleTables:
     def test_tables_match_fraction_oracle(self):
         # the same S-relations, eliminated by Fraction Gauss-Jordan
@@ -285,6 +254,17 @@ class TestScan:
         assert [r.t for r in rows] == [expected_t(m) for m in range(4, 151)]
         assert {r.m for r in rows if not r.trailing_basis_ok} == TRAILING_FAILURES_TO_150
 
+    @pytest.mark.parametrize(
+        "m, t, formula, method",
+        [(27, 9, 9, "constructed"), (32, 8, 8, "constructed"), (35, 13, 13, "constructed"),
+         (12, 3, 3, "identities"), (5, 1, 2, "constructed")],
+    )
+    def test_row(self, m, t, formula, method):
+        (row,) = scan_range(m, m)
+        assert (row.m, row.t, row.formula_value, row.method) == (m, t, formula, method)
+        # the formula covers every composite m; prime m lies outside it
+        assert row.match == row.formula_applies == (m != 5)
+
     def test_small_range(self):
         rows = scan_range(4, 16)
         assert [r.m for r in rows] == list(range(4, 17))
@@ -305,7 +285,7 @@ class TestScan:
             (10, "identities"), (29, "constructed"), (16, "constructed"), (19, "identities")
         ]
         assert express_dependents(24).method == "identities"
-        assert conjecture_check(36).match
+        assert scan_range(36, 36)[0].match
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
