@@ -339,3 +339,19 @@ def test_large_exponents(m):
                 bumped = list(vec)
                 bumped[first] += d
                 assert verify_u_relation(m, LinearForm(U_SPACE, m, tuple(bumped))) is False
+
+
+@pytest.mark.parametrize("n", [8, 10, 24, 60])
+def test_all_roots_large_exponents(n):
+    # (1 - z^2)^e = ((1 - z)(1 + z))^e with 1 + z = 1 - z^(n/2 + 1), checked
+    # by the product loop behind verify_u_relation on the roots it is given
+    # there (one unit j of each pair {j, -j}).  Conjugation sends each side
+    # to (-1)^e z^(-2e) times itself, as that root set requires.
+    units = [j for j in range(1, n // 2) if gcd(j, n) == 1]
+    one_plus = n // 2 + 1
+    agree = cyclotomic._products_agree
+    for e in (1000, 4321):
+        assert agree(n, 0, [(2, e)], [(1, e), (one_plus, e)], units) is True
+        for d in (-1, 1):
+            assert agree(n, 0, [(2, e + d)], [(1, e), (one_plus, e)], units) is False
+            assert agree(n, 0, [(2, e)], [(1, e + d), (one_plus, e)], units) is False
