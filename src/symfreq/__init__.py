@@ -28,7 +28,6 @@ from .solver import (
     ExpressionTable,
     discover_relations,
     express_dependents,
-    relation_basis,
     scan_range,
 )
 
@@ -65,6 +64,5 @@ __all__ = [
     "ExpressionTable",
     "discover_relations",
     "express_dependents",
-    "relation_basis",
     "scan_range",
 ]

@@ -11,12 +11,13 @@ rational reconstruction, then an exact check that makes the result a proof.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -147,7 +148,9 @@ def form_to_json(form: LinearForm, provenance: str | None = None) -> dict:
 
 def form_from_json(obj: Mapping) -> LinearForm:
     try:
-        m = int(obj["m"])
+        m = obj["m"]
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise ValueError(f"modulus {m!r} is not an integer")
         space = str(obj["space"])
         coeffs = {int(k): rat_from_str(str(v)) for k, v in obj["coeffs"].items()}
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -155,10 +158,33 @@ def form_from_json(obj: Mapping) -> LinearForm:
     return LinearForm.from_map(space, m, coeffs)
 
 
-class RrefResult(NamedTuple):
-    rows: tuple[tuple[Fraction, ...], ...]
+@dataclass(frozen=True)
+class RrefResult:
+    """The RREF: nonzero row i is nums[i] / dens[i], with pivot column pivots[i].
+
+    nums holds Python int rows and dens positive ints; `rows` builds the
+    Fraction rows, zero rows included, only when it is read.
+    """
+
     pivots: tuple[int, ...]
-    rank: int
+    nums: list[list[int]]
+    dens: list[int]
+    shape: tuple[int, int]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        frac = _FractionCache().__getitem__
+        out = [
+            tuple(map(frac, zip(row, itertools.repeat(d))))
+            for row, d in zip(self.nums, self.dens)
+        ]
+        nrows, ncols = self.shape
+        out += [(Fraction(0),) * ncols] * (nrows - len(out))
+        return tuple(out)
 
 
 def integer_row(row: Iterable) -> list[int]:
@@ -182,8 +208,9 @@ def stack_forms(forms: Iterable[LinearForm]) -> list[tuple[Fraction, ...]]:
     return rows
 
 
-def rref(rows: Iterable[Iterable]) -> RrefResult:
-    """The reduced row echelon form over Q of rows of ints or Fractions.
+def rref(rows: Iterable[Iterable] | np.ndarray) -> RrefResult:
+    """The reduced row echelon form over Q of rows of ints or Fractions, or of
+    a 2-D numpy integer array.
 
     Returns the unique RREF (the nonzero rows first, one per pivot, then zero
     rows, as many as the input has) with its pivot columns.  Each row is
@@ -201,16 +228,20 @@ def rref(rows: Iterable[Iterable]) -> RrefResult:
     primes are added; past the Hadamard bound, where the check cannot fail
     for a correct reduction, ArithmeticError is raised instead.
     """
-    ints = [integer_row(r) for r in rows]
+    if isinstance(rows, np.ndarray):
+        mat, ints = rows, rows.tolist()
+        ncols = mat.shape[1]
+    else:
+        ints = [integer_row(r) for r in rows]
+        ncols = len(ints[0]) if ints else 0
+        if any(len(r) != ncols for r in ints):
+            raise ValueError("rows of mixed length")
+        try:
+            mat = np.array(ints, dtype=np.int64).reshape(len(ints), ncols)
+        except OverflowError:
+            mat = np.array(ints, dtype=object).reshape(len(ints), ncols)
     if not ints:
-        return RrefResult((), (), 0)
-    ncols = len(ints[0])
-    if any(len(r) != ncols for r in ints):
-        raise ValueError("rows of mixed length")
-    try:
-        mat = np.array(ints, dtype=np.int64).reshape(len(ints), ncols)
-    except OverflowError:
-        mat = np.array(ints, dtype=object).reshape(len(ints), ncols)
+        return RrefResult((), [], [], (0, ncols))
     best = modulus = residues = None
     spent, budget = 0, None
     for p in _primes():
@@ -224,7 +255,8 @@ def rref(rows: Iterable[Iterable]) -> RrefResult:
         if key == best:
             fracs = _reconstruct(residues, modulus)
             if fracs is not None and _verified(ints, mat, pivots, *fracs):
-                return _result(pivots, *fracs, len(ints), ncols)
+                nums, dens = fracs
+                return RrefResult(pivots, nums.tolist(), dens.tolist(), mat.shape)
         spent += p.bit_length()
         if budget is None:
             # bad primes divide one nonzero minor, and reconstruction
@@ -363,17 +395,6 @@ def _verified(ints, mat, pivots, nums, dens) -> bool:
 def _hadamard_bits(ints) -> int:
     """log2 of the Hadamard bound on every minor of the rows, rounded up."""
     return sum((sum(x * x for x in row).bit_length() + 1) // 2 for row in ints)
-
-
-def _result(pivots, nums, dens, nrows: int, ncols: int) -> RrefResult:
-    frac = _FractionCache().__getitem__
-    out = [
-        tuple(map(frac, zip(row, itertools.repeat(d))))
-        for row, d in zip(nums.tolist(), dens.tolist())
-    ]
-    zero = (Fraction(0),) * ncols
-    out += [zero] * (nrows - len(out))
-    return RrefResult(tuple(out), pivots, len(pivots))
 
 
 class _FractionCache(dict):

@@ -19,8 +19,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .intmath import factorize, is_prime
-from .linalg import LinearForm, S_SPACE, U_SPACE, integer_row, rref
+from .linalg import LinearForm, S_SPACE, U_SPACE, rref
 
 
 class UnsupportedModulus(ValueError):
@@ -82,24 +84,22 @@ def phi_forward(uform: LinearForm) -> LinearForm:
     """Image of a U-space form in S-space."""
     if uform.space != U_SPACE:
         raise ValueError("phi_forward expects a U-space form")
-    return LinearForm(S_SPACE, uform.m, phi_coeffs(uform.coeffs))
+    return LinearForm(S_SPACE, uform.m, tuple(phi_coeffs(uform.coeffs)))
 
 
-def phi_coeffs(ucoeffs: tuple | list) -> list:
+def phi_coeffs(ucoeffs) -> np.ndarray:
     """S-coefficients (indices 1..m'-1) of the U-coefficients (2..m').
 
-    Computed by the recursion c_d = e_d + d*f_d with e_1 = 0,
-    f_1 = sum of all input coefficients, e_{d+1} = e_d + d*c'_{d+1},
-    f_{d+1} = f_d - c'_{d+1}.  Integer input gives integer output.
+    Maps the last axis, so a matrix of U-rows maps row by row:
+    S_d = sum_k c_k min(k - 1, d), computed as the prefix sum of (k - 1) c_k
+    up to k = d + 1 plus d times the suffix sum of c_k beyond it.  Fractions
+    stay exact (object arrays); an int64 array stays int64, and each output
+    entry is at most m' times the row's sum of |c_k|.
     """
-    e = 0
-    f = sum(ucoeffs)
-    out = [f]
-    for d, c in enumerate(ucoeffs[:-1], start=2):
-        e += (d - 1) * c
-        f -= c
-        out.append(e + d * f)
-    return out
+    c = np.asarray(ucoeffs)
+    weights = np.arange(1, c.shape[-1] + 1, dtype=object if c.dtype == object else np.int64)
+    sums = np.cumsum(c, axis=-1)
+    return np.cumsum(c * weights, axis=-1) + weights * (sums[..., -1:] - sums)
 
 
 def phi_inverse(sform: LinearForm) -> LinearForm:
@@ -298,29 +298,25 @@ def u_basis(m: int) -> RelationBasis:
     )
 
 
-def identity_u_basis(m: int) -> RelationBasis:
-    """Basis of the relation space for any m >= 4, from cyclotomic identities.
+def identity_rows(m: int) -> np.ndarray:
+    """The cyclotomic identities among the x_a as integer rows, for any m >= 4.
 
-    With x_a = log|1 - zeta_m^a| = log(2 sin(pi a/m)), so that x_a = x_{m-a}
-    and U_k = (x_k - x_1)/ln 2, the x_a satisfy
+    Here x_a = log|1 - zeta_m^a| = log(2 sin(pi a/m)), so that x_a = x_{m-a}.
+    The columns are one log p per prime p | m, then the sum of the
+    x-coefficients, then x_1..x_m'.  The rows are
 
     * distribution: sum_{j<d} x_{b + j m/d} = x_{bd} for d | m, d > 1 and
       1 <= b < m/d, the logarithm of prod_{y^d = z} (1 - y) = 1 - z.  Only
       prime d are generated: the identity for d = d1 d2 is the sum of the
       d1-identities over the d2-th roots w of z, chained with the
-      d2-identity, and none of those w is 1;
+      d2-identity, and none of those w is 1.  Only b <= m/(2d) are generated:
+      b and m/d - b give the same row, as both sides change sign mod m;
     * norm: sum_{1<=a<q, p∤a} x_{a m/q} = log p for each prime power q = p^k
       dividing m, the logarithm of Phi_q(1) = p.
 
-    Exact elimination with one log p column per prime p | m, then a column
-    holding the sum of the x-coefficients, ahead of the columns x_1..x_{m'}
-    leaves, in the rows pivoting on an x column, a basis of the identities
-    free of every log p whose coefficients sum to 0.  With x_1 dropped, these
-    rows are a basis of the U-relation space.  By the rational form of Bass's
-    theorem (Bass 1966; Washington, Introduction to Cyclotomic Fields, ch. 8)
-    these identities span every Q-linear relation among the x_a, so the
-    basis is complete, not only sound.  Each form is scaled to coprime
-    integer coefficients.
+    By the rational form of Bass's theorem (Bass 1966; Washington,
+    Introduction to Cyclotomic Fields, ch. 8) these identities span every
+    Q-linear relation among the x_a.
     """
     if m < 4:
         raise ValueError("relation bases need m >= 4")
@@ -328,34 +324,49 @@ def identity_u_basis(m: int) -> RelationBasis:
     fact = factorize(m)
     lead = len(fact) + 1  # the log p columns and the sum column
 
-    def col(a: int) -> int:
-        return lead + k_red(m, a) - 1
+    def col(a: np.ndarray) -> np.ndarray:
+        r = a % m
+        return lead - 1 + np.minimum(r, m - r)
 
-    rows = []
+    blocks = []
     for d, _ in fact:
         step = m // d
-        for b in range(1, step):
-            row = [0] * (lead + half)
-            for j in range(d):
-                row[col(b + j * step)] += 1
-            row[col(b * d)] -= 1
-            row[lead - 1] = d - 1
-            rows.append(row)
+        b = np.arange(1, step // 2 + 1)
+        rows = np.zeros((b.size, lead + half), np.int64)
+        at = np.arange(b.size)
+        np.add.at(rows, (at[:, None], col(b[:, None] + step * np.arange(d))), 1)
+        np.add.at(rows, (at, col(b * d)), -1)
+        rows[:, lead - 1] = d - 1
+        blocks.append(rows)
     for i, (p, e) in enumerate(fact):
         for k in range(1, e + 1):
             q = p**k
-            row = [0] * (lead + half)
-            for a in range(1, q):
-                if a % p:
-                    row[col(a * (m // q))] += 1
-            row[i] -= 1
-            row[lead - 1] = q - q // p
-            rows.append(row)
+            a = np.arange(1, q)
+            row = np.zeros((1, lead + half), np.int64)
+            np.add.at(row[0], col(a[a % p != 0] * (m // q)), 1)
+            row[0, i] = -1
+            row[0, lead - 1] = q - q // p
+            blocks.append(row)
+    return np.vstack(blocks)
+
+
+def identity_u_basis(m: int) -> RelationBasis:
+    """Basis of the relation space for any m >= 4, from cyclotomic identities.
+
+    Exact elimination of `identity_rows(m)` leaves, in the rows pivoting on
+    an x column, a basis of the identities free of every log p whose
+    coefficients sum to 0.  With x_1 dropped, these rows are a basis of the
+    U-relation space (U_k = (x_k - x_1)/ln 2), complete, not only sound, as
+    the identities span every relation.  Each form is scaled to coprime
+    integer coefficients.
+    """
+    rows = identity_rows(m)
+    lead = rows.shape[1] - m // 2
     ech = rref(rows)
     forms = []
-    for row, c in zip(ech.rows, ech.pivots):
+    for nums, c in zip(ech.nums, ech.pivots):
         if c >= lead:
-            ints = integer_row(row[lead + 1 :])
+            ints = nums[lead + 1 :]
             g = math.gcd(*ints)
             forms.append(LinearForm(U_SPACE, m, tuple(x // g for x in ints)))
     return RelationBasis(m, U_SPACE, tuple(forms), "identities")

@@ -1,9 +1,9 @@
 """Relation-space linear algebra: elimination tables, dimensions, discovery.
 
-Elimination tables and the scan take their relations
-from `relation_basis`: the constructed basis for the covered shapes and the
-cyclotomic-identity basis otherwise.  Both are exact and complete, so the
-t they report is the dimension of the span, with no numerics involved.
+Elimination tables and the scan take their relations from the cyclotomic
+identities (`relations.identity_rows`), eliminated once, in integers, in the
+S-coordinates.  The identities are exact and complete, so the t they report
+is the dimension of the span, with no numerics involved.
 
 Discovery (`discover_relations`, behind `symfreq discover`) is an
 independent numeric route to the same relation spaces.  It builds the
@@ -24,34 +24,15 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import frequencies
 from .balls import PrecisionContext, mpf_to_fraction
 from .cyclotomic import verify_u_relation
 from .intmath import euler_phi
-from .linalg import LinearForm, U_SPACE, format_terms, integer_row, rat_to_str, rref, stack_forms
+from .linalg import LinearForm, U_SPACE, format_terms, rat_to_str, rref, stack_forms
 from .lll import lll_reduce
-from .relations import (
-    CASE_PRIME,
-    RelationBasis,
-    UnsupportedModulus,
-    identity_u_basis,
-    modulus_profile,
-    phi_coeffs,
-    u_basis,
-)
-
-
-def relation_basis(m: int) -> RelationBasis:
-    """Exact relation basis for any m >= 4.
-
-    The constructed basis for the covered shapes (it fixes the golden table
-    layouts and is the cheaper of the two), the cyclotomic-identity basis
-    otherwise; the provenance says which.
-    """
-    try:
-        return u_basis(m)
-    except UnsupportedModulus:
-        return identity_u_basis(m)
+from .relations import CASE_PRIME, RelationBasis, identity_rows, modulus_profile, phi_coeffs
 
 
 # ----------------------------------------------------------------------
@@ -93,30 +74,32 @@ class ExpressionTable:
 
 
 def express_dependents(m: int) -> ExpressionTable:
-    """Eliminate the S-relation matrix and express dependent S-values.
+    """Eliminate the S-relations and express dependent S-values.
 
-    The relations come from relation_basis(m) and the method is its
-    provenance.  The table is always produced from the actual pivots;
-    trailing_ok flags whether they were the leading columns.
+    The x-block of `identity_rows(m)` is rewritten as (sum of the
+    x-coefficients, S_1..S_{m'-1}), the sum being the column just before it.
+    As c -> (sum c, phi(c_2..c_m')) is a bijection, the rows of the one RREF
+    that pivot in the S block are the RREF of the S-relation space.  The
+    table is always produced from the actual pivots; trailing_ok flags
+    whether they were the leading columns.
     """
     if m < 4:
         raise ValueError("expression tables need m >= 4")
     half = m // 2
-    basis = relation_basis(m)
-    rows = [phi_coeffs(integer_row(f.coeffs)) for f in basis.forms]
-    if not rows:
-        return ExpressionTable(m, half - 1, (), True, basis.provenance)
-    result = rref(rows)
-    rank = result.rank
-    t = (half - 1) - rank
-    trailing_ok = result.pivots == tuple(range(rank))
-    pivot_set = set(result.pivots)
-    free = [c for c in range(half - 1) if c not in pivot_set]
+    rows = identity_rows(m)
+    lead = rows.shape[1] - half
+    ech = rref(np.hstack([rows[:, :lead], phi_coeffs(rows[:, lead + 1 :])]))
+    s_pivots = [c for c in ech.pivots if c >= lead]
+    pivot_set = set(s_pivots)
+    free = [c for c in range(lead, lead + half - 1) if c not in pivot_set]
     table = []
-    for pcol, entries in zip(result.pivots, result.rows):
-        coeffs = tuple((c + 1, -entries[c]) for c in free if entries[c])
-        table.append((pcol + 1, coeffs))
-    return ExpressionTable(m, t, tuple(table), trailing_ok, basis.provenance)
+    for pcol, nums, den in zip(ech.pivots, ech.nums, ech.dens):
+        if pcol >= lead:
+            coeffs = tuple((c - lead + 1, Fraction(-nums[c], den)) for c in free if nums[c])
+            table.append((pcol - lead + 1, coeffs))
+    rank = len(table)
+    trailing_ok = s_pivots == list(range(lead, lead + rank))
+    return ExpressionTable(m, half - 1 - rank, tuple(table), trailing_ok, "identities")
 
 
 # ----------------------------------------------------------------------

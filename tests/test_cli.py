@@ -158,6 +158,9 @@ class TestVerify:
             {"m": 27, "space": "U", "coeffs": {"2": "1/0"}},
             {"m": 27, "space": "U", "coeffs": None},
             {"m": 27, "space": "U", "coeffs": [["2", "1"]]},
+            {"m": 27.9, "space": "U", "coeffs": {"2": "1"}},
+            {"m": True, "space": "U", "coeffs": {"2": "1"}},
+            {"m": "27", "space": "U", "coeffs": {"2": "1"}},
         ):
             f.write_text(json.dumps(doc))
             code, _ = run_cli("verify", "--m", "27", "--relations", str(f))

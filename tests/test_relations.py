@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,9 +20,11 @@ from symfreq.relations import (
     c_set,
     closed_form_count,
     hset,
+    identity_rows,
     identity_u_basis,
     k_red,
     modulus_profile,
+    phi_coeffs,
     phi_forward,
     phi_inverse,
     prime_power_u_basis,
@@ -118,6 +121,20 @@ class TestPhi:
         assert phi_inverse(phi_forward(u)) == u
         s = LinearForm(S_SPACE, m, tuple(coeffs))
         assert phi_forward(phi_inverse(s)) == s
+
+    @given(st.integers(min_value=4, max_value=40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_int_matrix_matches_definition(self, m, data):
+        # an int64 matrix maps row by row, in int64: S_d = sum_k c_k min(k - 1, d)
+        n = m // 2 - 1
+        row = st.lists(st.integers(min_value=-50, max_value=50), min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, min_size=1, max_size=4))
+        out = phi_coeffs(np.array(rows, dtype=np.int64))
+        assert out.dtype == np.int64
+        assert out.tolist() == [
+            [sum(c * min(k - 1, d) for k, c in enumerate(r, start=2)) for d in range(1, n + 1)]
+            for r in rows
+        ]
 
 
 class TestPrimePowerBasis:
@@ -297,7 +314,44 @@ def same_span(a, b):
     return ra == rb == rref(stack_forms(a + b)).rank
 
 
+def identity_rows_loop(m):
+    # every distribution row, b in 1..m/d - 1, then the norm rows, entry by entry
+    fact = factorize(m)
+    lead = len(fact) + 1
+    rows = []
+    for d, _ in fact:
+        for b in range(1, m // d):
+            row = [0] * (lead + m // 2)
+            for j in range(d):
+                row[lead - 1 + k_red(m, b + j * (m // d))] += 1
+            row[lead - 1 + k_red(m, b * d)] -= 1
+            row[lead - 1] = d - 1
+            rows.append(row)
+    for i, (p, e) in enumerate(fact):
+        for k in range(1, e + 1):
+            q = p**k
+            row = [0] * (lead + m // 2)
+            for a in range(1, q):
+                if a % p:
+                    row[lead - 1 + k_red(m, a * (m // q))] += 1
+            row[i] = -1
+            row[lead - 1] = q - q // p
+            rows.append(row)
+    return rows
+
+
 class TestIdentityBasis:
+    def test_rows_span_the_loop_rows(self):
+        # half the distribution rows, built by numpy, have the same RREF as
+        # every row built by the loop
+        for m in list(range(4, 61)) + [96, 105, 210]:
+            rows = identity_rows(m)
+            loop = identity_rows_loop(m)
+            assert rows.dtype == np.int64 and rows.shape[1] == len(loop[0]), m
+            assert all(r in loop for r in rows.tolist()), m
+            new, old = rref(rows), rref(loop)
+            assert (new.pivots, new.rows[: new.rank]) == (old.pivots, old.rows[: old.rank]), m
+
     def test_span_equals_constructed_to_100(self):
         covered = 0
         for m in range(4, 101):

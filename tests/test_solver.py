@@ -18,7 +18,7 @@ from symfreq.relations import (
     short_s_relation,
     u_basis,
 )
-from symfreq.solver import discover_relations, express_dependents, relation_basis, scan_range
+from symfreq.solver import discover_relations, express_dependents, scan_range
 
 M27_S_RELATIONS = [
     (1, 1, 0, -1, -2, -2, -3, -3, -3, -2, -2, -2),
@@ -71,7 +71,7 @@ class TestSRelationBasis:
 class TestExpress:
     def test_m27_table(self):
         table = express_dependents(27)
-        assert table.t == 9 and table.trailing_ok and table.method == "constructed"
+        assert table.t == 9 and table.trailing_ok and table.method == "identities"
         assert table_as_dicts(table) == {
             d: {j: F(c) for j, c in row.items()} for d, row in M27_TABLE.items()
         }
@@ -216,9 +216,15 @@ class TestDiscovery:
 
 class TestOracleTables:
     def test_tables_match_fraction_oracle(self):
-        # the same S-relations, eliminated by Fraction Gauss-Jordan
-        for m in range(4, 81):
-            rows = [phi_forward(f).coeffs for f in relation_basis(m).forms]
+        # the two-step route: a U-basis (the constructed one where it exists,
+        # an engine independent of the identities), mapped to S, eliminated by
+        # Fraction Gauss-Jordan
+        for m in range(4, 101):
+            try:
+                forms = u_basis(m).forms
+            except UnsupportedModulus:
+                forms = identity_u_basis(m).forms
+            rows = [phi_forward(f).coeffs for f in forms]
             table = express_dependents(m)
             if not rows:
                 assert table.rows == () and table.t == m // 2 - 1
@@ -234,10 +240,13 @@ class TestOracleTables:
             assert table.trailing_ok == (pivots == tuple(range(len(pivots)))), m
 
 
-# the moduli m <= 150 where S_{m'-t}..S_{m'-1} is not a basis of the span
-TRAILING_FAILURES_TO_150 = {
-    42, 45, 50, 75, 78, 85, 91, 98, 100, 110, 117, 120, 130, 135, 140, 145, 147, 150
+# the moduli m <= 300 where S_{m'-t}..S_{m'-1} is not a basis of the span
+TRAILING_FAILURES_TO_300 = {
+    42, 45, 50, 75, 78, 85, 91, 98, 100, 110, 117, 120, 130, 135, 140, 145, 147, 150, 153,
+    156, 168, 170, 175, 182, 186, 190, 195, 200, 205, 210, 220, 221, 225, 230, 231, 234,
+    240, 245, 247, 250, 253, 259, 260, 264, 273, 275, 285, 290, 294, 300,
 }
+TRAILING_FAILURES_TO_150 = {m for m in TRAILING_FAILURES_TO_300 if m <= 150}
 
 
 def expected_t(m):
@@ -254,10 +263,17 @@ class TestScan:
         assert [r.t for r in rows] == [expected_t(m) for m in range(4, 151)]
         assert {r.m for r in rows if not r.trailing_basis_ok} == TRAILING_FAILURES_TO_150
 
+    def test_finding_to_300(self):
+        rows = scan_range(4, 300)
+        assert [r.m for r in rows] == list(range(4, 301))
+        assert [r.t for r in rows] == [expected_t(m) for m in range(4, 301)]
+        assert {r.m for r in rows if not r.trailing_basis_ok} == TRAILING_FAILURES_TO_300
+        assert len(TRAILING_FAILURES_TO_300) == 50
+
     @pytest.mark.parametrize(
         "m, t, formula, method",
-        [(27, 9, 9, "constructed"), (32, 8, 8, "constructed"), (35, 13, 13, "constructed"),
-         (12, 3, 3, "identities"), (5, 1, 2, "constructed")],
+        [(27, 9, 9, "identities"), (32, 8, 8, "identities"), (35, 13, 13, "identities"),
+         (12, 3, 3, "identities"), (5, 1, 2, "identities")],
     )
     def test_row(self, m, t, formula, method):
         (row,) = scan_range(m, m)
@@ -282,7 +298,7 @@ class TestScan:
         monkeypatch.setattr(solver, "discover_relations", refuse)
         rows = scan_range(60, 63)
         assert [(r.t, r.method) for r in rows] == [
-            (10, "identities"), (29, "constructed"), (16, "constructed"), (19, "identities")
+            (10, "identities"), (29, "identities"), (16, "identities"), (19, "identities")
         ]
         assert express_dependents(24).method == "identities"
         assert scan_range(36, 36)[0].match
