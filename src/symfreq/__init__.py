@@ -4,7 +4,7 @@ frequencies of continued-fraction digits modulo m."""
 __version__ = "0.1.0"
 
 from .balls import PrecisionContext, RealBall
-from .cyclotomic import CyclotomicDegreeError, cyclotomic_poly, verify_u_relation
+from .cyclotomic import cyclotomic_poly, verify_u_relation
 from .frequencies import evaluate_form, h_value, s_value, u_value
 from .linalg import LinearForm, Rational, form_add, form_scale, rref
 from .relations import (
@@ -34,7 +34,6 @@ from .solver import (
 __all__ = [
     "PrecisionContext",
     "RealBall",
-    "CyclotomicDegreeError",
     "cyclotomic_poly",
     "verify_u_relation",
     "evaluate_form",

@@ -12,7 +12,10 @@ Error-bound conventions used below:
 * a nearest rounding of value v at precision p satisfies
   |round(v) - v| <= 2^(mag(round(v)) - p), since mpmath.mag overestimates the
   binary magnitude;
-* alternating/dominated series are truncated when the next term's upper bound
+* pi, ln 2, sin and log2 come from the integer fixed-point kernels below,
+  which bound a value from both sides in units of 2^-F; a ball is built
+  exactly from those bounds;
+* the exponential series is truncated when the next term's upper bound
   drops below the target, and that bound is added to the radius;
 * the asymptotic log-Gamma series is truncated with the classical bound: for
   real positive argument the remainder is no larger than the first omitted
@@ -130,9 +133,6 @@ class RealBall:
         """Whether every point of the ball is > 0."""
         return self.mid > 0 and mpmath.fsub(self.mid, self.rad, prec=_RAD_PREC, rounding="f") > 0
 
-    def is_negative(self) -> bool:
-        return self.mid < 0 and mpmath.fadd(self.mid, self.rad, prec=_RAD_PREC, rounding="c") < 0
-
     def upper(self) -> mpmath.mpf:
         return mpmath.fadd(self.mid, self.rad, prec=_RAD_PREC, rounding="c")
 
@@ -247,103 +247,181 @@ def _restamp(a: RealBall, prec: int) -> RealBall:
 
 
 # ----------------------------------------------------------------------
-# Constants
+# Integer fixed-point kernels
+#
+# The package's only code for pi, ln 2, sin and log2.  Each kernel returns
+# integers lo <= 2^F v <= hi for its value v, in units of 2^-F where the
+# caller picks F, so the balls below and the certificate's log-sine table
+# (`cyclotomic._log_sine_table`, at F = 64) share one implementation.
+
+#: Extra fractional bits with which the balls call the kernels.
+_KERNEL_GUARD = 16
 
 
-def _atan_recip_ball(k: int, wp: int) -> RealBall:
-    # arctan(1/k) for integer k >= 2 by the alternating series
-    # sum_i (-1)^i / ((2i+1) k^(2i+1)); remainder bounded by the next term.
-    acc = ball_exact_zero(wp)
-    kk = k * k
+def _arc_sum(k: int, F: int, sign: int) -> tuple[int, int]:
+    """S and N with |S - 2^F f(1/k)| < N + 2, for an integer k >= 3.
+
+    f is arctan for sign = -1 and atanh for sign = 1, summed as
+    sum_i sign^i / ((2i+1) k^(2i+1)) in floored terms until one is zero,
+    N terms in all.  Each floor loses under one unit, and the tail after a
+    term below one unit is below 9/8 units: alternating and decreasing for
+    arctan, geometric with ratio at most 1/9 for atanh.
+    """
+    total = 0
+    n = 0
     den = k
-    i = 0
-    target = mpmath.ldexp(_ONE, -(wp + 6))
     while True:
-        term = mpmath.fdiv(1, den * (2 * i + 1), prec=wp, rounding="n")
-        if term <= target:
-            return ball_inflate(acc, _radd(term, _round_err(term, wp)))
-        t = RealBall(term, _round_err(term, wp), wp)
-        acc = ball_sub(acc, t, wp) if i & 1 else ball_add(acc, t, wp)
-        den *= kk
-        i += 1
+        term = (1 << F) // ((2 * n + 1) * den)
+        if not term:
+            return total, n
+        total += -term if sign < 0 and n & 1 else term
+        den *= k * k
+        n += 1
+
+
+def _outward(lo: int, hi: int, shift: int) -> tuple[int, int]:
+    """Bounds in units of 2^shift times larger, rounded outward."""
+    return lo >> shift, -(-hi >> shift)
 
 
 @lru_cache(maxsize=None)
-def _pi_cached(wp: int) -> RealBall:
-    # Machin: pi = 16 arctan(1/5) - 4 arctan(1/239).
-    a = _atan_recip_ball(5, wp + 10)
-    b = _atan_recip_ball(239, wp + 10)
-    return _restamp(ball_sub(ball_scale_2exp(a, 4), ball_scale_2exp(b, 2), wp + 10), wp)
+def pi_fixed(F: int) -> tuple[int, int]:
+    """lo <= 2^F pi <= hi with hi - lo <= 2.
+
+    Machin's pi = 16 arctan(1/5) - 4 arctan(1/239), summed with g guard
+    bits: the error there, about 3.5 (F + g) units, is under 2^(g-1), so
+    the outward rounding to F bits leaves a width of at most 2.
+    """
+    g = F.bit_length() + 8
+    a, na = _arc_sum(5, F + g, -1)
+    b, nb = _arc_sum(239, F + g, -1)
+    mid, err = 16 * a - 4 * b, 16 * (na + 2) + 4 * (nb + 2)
+    return _outward(mid - err, mid + err, g)
+
+
+@lru_cache(maxsize=None)
+def ln2_fixed(F: int) -> tuple[int, int]:
+    """lo <= 2^F ln 2 <= hi with hi - lo <= 2, from ln 2 = 2 atanh(1/3)."""
+    g = F.bit_length() + 8
+    a, n = _arc_sum(3, F + g, 1)
+    return _outward(2 * (a - n - 2), 2 * (a + n + 2), g)
+
+
+def sin_fixed(x: int, F: int) -> tuple[int, int]:
+    """lo <= 2^F sin(x / 2^F) <= hi, for 0 < x / 2^F < 2.
+
+    The Taylor terms x^k/k! then decrease, so a partial sum of the
+    alternating series that ends on a positive term bounds sin from above,
+    by at most its last term.  Each term is carried rounded up (hi) and down
+    (lo) in units of 2^-F; positive terms enter the sum as hi and negative
+    ones as lo, and the sum stops after the first positive term of at most
+    one unit.  A carried term is off by under 1.2 units, since each
+    rounding adds under one unit to an error that the ratio
+    x^2/((k+1)(k+2)) < 1/5 of the later terms shrinks, so 2 units per term
+    below that sum is a lower bound.
+    """
+    hi = lo = x
+    x2 = x * x
+    shift = 2 * F
+    total = 0
+    k = 1
+    while True:
+        if k % 4 == 1:
+            total += hi
+            if hi <= 1:
+                return total - (k + 1), total
+        else:
+            total -= lo
+        step = (k + 1) * (k + 2) << shift
+        hi = -(-hi * x2 // step)
+        lo = lo * x2 // step
+        k += 2
+
+
+def log2_fixed(y: int, F: int, bits: int) -> tuple[int, int]:
+    """lo <= 2^bits log2(y / 2^F) <= hi = lo + 2, for integers y >= 1 and F >= bits + 3.
+
+    By repeated squaring: with y / 2^F = 2^e x and x in [1, 2), each
+    squaring of x yields the next binary digit of log2 x.  Every rounding
+    is upward, which keeps e + (digits + log2 x) / 2^k an upper bound, and
+    x <= 2 throughout, so adding one unit at the end covers the digits not
+    taken.  The roundings, each at most log2(1 + 2^-F) on a digit of weight
+    2^-k, raise that bound by under 4 2^-F in all, half a unit of 2^-bits,
+    so 2 units below hi is a lower bound.
+    """
+    e = y.bit_length() - 1 - F
+    x = y << -e if e < 0 else -(-y >> e)
+    two = 2 << F
+    digits = 0
+    for _ in range(bits):
+        x = -(-(x * x) >> F)
+        digits <<= 1
+        if x >= two:
+            x = -(-x >> 1)
+            digits |= 1
+    hi = (e << bits) + digits + 1
+    return hi - 2, hi
+
+
+def _ball_from_fixed(lo: int, hi: int, F: int, prec: int) -> RealBall:
+    """The ball [lo, hi] / 2^F, exactly."""
+    return RealBall(
+        mpmath.mp.make_mpf(libmp.from_man_exp(lo + hi, -F - 1)),
+        mpmath.mp.make_mpf(libmp.from_man_exp(hi - lo, -F - 1)),
+        prec,
+    )
+
+
+def _log2_bounds(x: RealBall, bits: int) -> tuple[int, int]:
+    """lo <= 2^bits log2 v <= hi for every v in a strictly positive ball.
+
+    The ends of the ball, rounded outward to F = bits + 3 bits, are
+    man 2^exp, and log2(man 2^exp) = log2(man / 2^F) + F + exp.
+    """
+    F = bits + 3
+    _, man, exp, _ = libmp.mpf_sub(x.mid._mpf_, x.rad._mpf_, F, libmp.round_floor)
+    lo = log2_fixed(man, F, bits)[0] + ((F + exp) << bits)
+    _, man, exp, _ = libmp.mpf_add(x.mid._mpf_, x.rad._mpf_, F, libmp.round_ceiling)
+    hi = log2_fixed(man, F, bits)[1] + ((F + exp) << bits)
+    return lo, hi
+
+
+# ----------------------------------------------------------------------
+# Constants and elementary functions
 
 
 def pi_ball(ctx: PrecisionContext) -> RealBall:
     """Enclosure of pi with radius at most 2^-prec."""
-    return _restamp(_pi_cached(ctx.wp), ctx.prec)
+    F = ctx.wp + _KERNEL_GUARD
+    return _ball_from_fixed(*pi_fixed(F), F, ctx.prec)
 
 
-@lru_cache(maxsize=None)
 def _ln2_cached(wp: int) -> RealBall:
-    # ln 2 = 2 atanh(1/3) = 2 sum_i 3^-(2i+1) / (2i+1);
-    # tail <= (9/8) * next term.
-    acc = ball_exact_zero(wp + 10)
-    den = 3
-    i = 0
-    target = mpmath.ldexp(_ONE, -(wp + 14))
-    while True:
-        term = mpmath.fdiv(1, den * (2 * i + 1), prec=wp + 10, rounding="n")
-        if term <= target:
-            acc = ball_inflate(acc, _rmul(term, mpmath.mpf(1.25)))
-            break
-        acc = ball_add(acc, RealBall(term, _round_err(term, wp + 10), wp + 10), wp + 10)
-        den *= 9
-        i += 1
-    return _restamp(ball_scale_2exp(acc, 1), wp)
-
-
-# ----------------------------------------------------------------------
-# Elementary functions
+    """Enclosure of ln 2 with radius at most 2^-wp."""
+    F = wp + _KERNEL_GUARD
+    return _ball_from_fixed(*ln2_fixed(F), F, wp)
 
 
 def ln_ball(x: RealBall, prec: int) -> RealBall:
-    """Natural logarithm of a strictly positive ball.
-
-    The argument is scaled by a power of two into [1/2, 2], then
-    ln(y) = 2 atanh((y-1)/(y+1)) with |t| <= 1/3, so the series gains at
-    least three bits per term.
-    """
+    """Natural logarithm of a strictly positive ball, as ln 2 log2."""
     if not x.is_positive():
         raise ValueError("ln of a ball that is not strictly positive")
-    wp = prec + 10
-    e = _mag(x.mid) - 1
-    y = ball_scale_2exp(x, -e)
-    one = ball_from_int(1, wp)
-    t = ball_div(ball_sub(y, one, wp), ball_add(y, one, wp), wp)
-    if t.abs_upper() > mpmath.mpf("0.4"):
-        raise ArithmeticError("input ball too wide for the logarithm series")
-    t2 = ball_mul(t, t, wp)
-    term = t
-    acc = t
-    i = 1
-    target = mpmath.ldexp(_ONE, -(wp + 4))
-    while True:
-        term = ball_mul(term, t2, wp)
-        bound = term.abs_upper()
-        if bound <= target * (2 * i + 1):
-            # geometric tail: ratio <= |t|^2 <= 0.16, so 1.25x the next term
-            acc = ball_inflate(acc, _rmul(mpmath.fdiv(bound, 2 * i + 1, prec=_RAD_PREC, rounding="u"), mpmath.mpf(1.25)))
-            break
-        acc = ball_add(acc, ball_div_int(term, 2 * i + 1, wp), wp)
-        i += 1
-    res = ball_scale_2exp(acc, 1)
-    if e:
-        res = ball_add(res, ball_mul_int(_ln2_cached(wp), e, wp), wp)
-    return _restamp(res, prec)
+    bits = prec + _KERNEL_GUARD
+    lo, hi = _log2_bounds(x, bits)
+    # ln 2 carries as many bits as log2 x, so the products lose under a unit
+    F = max(bits, max(-lo, hi).bit_length() + 2)
+    ln2_lo, ln2_hi = ln2_fixed(F)
+    lo *= ln2_hi if lo < 0 else ln2_lo
+    hi *= ln2_lo if hi < 0 else ln2_hi
+    return _ball_from_fixed(*_outward(lo, hi, F), bits, prec)
 
 
 def log2_ball(x: RealBall, ctx: PrecisionContext) -> RealBall:
     """Base-2 logarithm of a strictly positive ball."""
-    wp = ctx.wp
-    return _restamp(ball_div(ln_ball(x, wp), _ln2_cached(wp), wp), ctx.prec)
+    if not x.is_positive():
+        raise ValueError("log2 of a ball that is not strictly positive")
+    bits = ctx.wp + _KERNEL_GUARD
+    return _ball_from_fixed(*_log2_bounds(x, bits), bits, ctx.prec)
 
 
 def log2_of_fraction(q, ctx: PrecisionContext) -> RealBall:
@@ -353,45 +431,16 @@ def log2_of_fraction(q, ctx: PrecisionContext) -> RealBall:
     return log2_ball(ball_from_fraction(q, ctx.wp), ctx)
 
 
-def _sin_taylor(z: RealBall, wp: int) -> RealBall:
-    # sin(z) for |z| <= ~0.79; alternating series, remainder <= next term.
-    z2 = ball_mul(z, z, wp)
-    term = z
-    acc = z
-    k = 1
-    target = mpmath.ldexp(_ONE, -(wp + 4))
-    while True:
-        term = ball_div_int(ball_mul(term, z2, wp), -(2 * k) * (2 * k + 1), wp)
-        if term.abs_upper() <= target:
-            return ball_inflate(acc, term.abs_upper())
-        acc = ball_add(acc, term, wp)
-        k += 1
-
-
-def _cos_taylor(z: RealBall, wp: int) -> RealBall:
-    z2 = ball_mul(z, z, wp)
-    term = ball_from_int(1, wp)
-    acc = term
-    k = 1
-    target = mpmath.ldexp(_ONE, -(wp + 4))
-    while True:
-        term = ball_div_int(ball_mul(term, z2, wp), -(2 * k - 1) * (2 * k), wp)
-        if term.abs_upper() <= target:
-            return ball_inflate(acc, term.abs_upper())
-        acc = ball_add(acc, term, wp)
-        k += 1
-
-
 def sin_pi_rational(a: int, b: int, ctx: PrecisionContext) -> RealBall:
     """Enclosure of sin(pi * a/b) for integers a, b with b > 0.
 
-    The argument is folded exactly in rational arithmetic onto [0, 1/4] for
-    the sine series or cosine series, so only one pi multiplication carries
-    rounding error.  Integer multiples of pi give the exact zero ball.
+    The argument is folded exactly in rational arithmetic onto [0, 1/2],
+    where sin is increasing, so the kernel's sine at the floor of
+    pi_lo * a/b and at the ceiling of pi_hi * a/b bounds it.  Integer
+    multiples of pi give the exact zero ball.
     """
     if b <= 0:
         raise ValueError("denominator must be positive")
-    wp = ctx.wp
     x = Fraction(a, b) % 2
     sign = 1
     if x > 1:
@@ -401,14 +450,17 @@ def sin_pi_rational(a: int, b: int, ctx: PrecisionContext) -> RealBall:
         return ball_exact_zero(ctx.prec)
     if x > Fraction(1, 2):
         x = 1 - x
-    pi = _pi_cached(wp)
-    if x <= Fraction(1, 4):
-        res = _sin_taylor(ball_mul_fraction(pi, x, wp), wp)
-    else:
-        res = _cos_taylor(ball_mul_fraction(pi, Fraction(1, 2) - x, wp), wp)
-    if sign < 0:
-        res = ball_neg(res)
-    return _restamp(res, ctx.prec)
+    F = ctx.wp + _KERNEL_GUARD
+    one = 1 << F
+    p, q = x.numerator, x.denominator
+    pi_lo, pi_hi = pi_fixed(F)
+    bottom = pi_lo * p // q
+    top = -(-pi_hi * p // q)
+    lo = sin_fixed(bottom, F)[0] if bottom else 0
+    # past pi/2 (possible only for x = 1/2 or q near 2^F) 1 bounds sin
+    hi = min(sin_fixed(top, F)[1], one) if 2 * top < pi_lo else one
+    res = _ball_from_fixed(lo, hi, F, ctx.prec)
+    return ball_neg(res) if sign < 0 else res
 
 
 def exp_ball(x: RealBall, prec: int) -> RealBall:
@@ -458,7 +510,7 @@ def bernoulli_number(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _ln_2pi_cached(wp: int) -> RealBall:
-    return ball_add(_ln2_cached(wp), ln_ball(_pi_cached(wp), wp), wp)
+    return ln_ball(ball_scale_2exp(pi_ball(PrecisionContext(wp, 0)), 1), wp)
 
 
 def lgamma_ball(a: int, b: int, ctx: PrecisionContext) -> RealBall:

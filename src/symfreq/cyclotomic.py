@@ -26,23 +26,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-from .intmath import divisors, euler_phi, factorize, is_prime
+from .balls import log2_fixed, pi_fixed, sin_fixed
+from .intmath import divisors, factorize, is_prime
 from .linalg import LinearForm, U_SPACE
-
-#: Refuse conductors whose cyclotomic polynomial degree exceeds this bound.
-DEGREE_BOUND = 4096
-
-
-class CyclotomicDegreeError(ValueError):
-    """Raised when a certificate would need a cyclotomic field of excessive degree."""
-
-
-def _check_degree(n: int):
-    if euler_phi(n) > DEGREE_BOUND:
-        raise CyclotomicDegreeError(
-            f"phi({n}) = {euler_phi(n)} exceeds the degree bound {DEGREE_BOUND}"
-        )
-
 
 # ----------------------------------------------------------------------
 # Integer polynomials and the cyclotomic polynomial
@@ -131,59 +117,6 @@ def split_primes(n: int, bits: int) -> list[tuple[int, int]]:
 #: Entries of the log-sine table are in units of 2^-LOG_UNIT_BITS bits.
 LOG_UNIT_BITS = 20
 
-# fractional bits of the fixed-point sine and logarithm
-_FP = 64
-
-# ceil(pi * 2^64), the ceiling of the upper end of a `balls.pi_ball` enclosure
-# (checked against one in the tests)
-_PI_UP = 0x3243F6A8885A308D4
-
-
-def _sin_up(x: int) -> int:
-    """An integer >= 2^64 sin(x / 2^64), for 0 < x / 2^64 < 2.
-
-    The Taylor terms x^k/k! then decrease, so a partial sum of the
-    alternating series that ends on a positive term bounds sin from above.
-    Each term is carried rounded up (hi) and down (lo) in units of 2^-64;
-    positive terms enter the sum as hi and negative ones as lo, and the sum
-    stops after the first positive term of at most one unit.
-    """
-    hi = lo = x
-    x2 = x * x
-    total = 0
-    k = 1
-    while True:
-        if k % 4 == 1:
-            total += hi
-            if hi <= 1:
-                return total
-        else:
-            total -= lo
-        step = (k + 1) * (k + 2) << (2 * _FP)
-        hi = -(-hi * x2 // step)
-        lo = lo * x2 // step
-        k += 2
-
-
-def _log2_up(y: int) -> int:
-    """An integer >= 2^20 log2(y / 2^64), for y >= 1, by repeated squaring.
-
-    With y / 2^64 = 2^e x and x in [1, 2), each squaring of x yields the next
-    binary digit of log2 x.  Every rounding is upward, which keeps
-    e + (digits + log2 x) / 2^k an upper bound, and x <= 2 throughout, so
-    adding one unit at the end covers the digits not taken.
-    """
-    e = y.bit_length() - 1 - _FP
-    x = y << -e if e < 0 else -(-y >> e)
-    digits = 0
-    for _ in range(LOG_UNIT_BITS):
-        x = -(-(x * x) >> _FP)
-        digits <<= 1
-        if x >= 2 << _FP:
-            x = -(-x >> 1)
-            digits |= 1
-    return (e << LOG_UNIT_BITS) + digits + 1
-
 
 @lru_cache(maxsize=None)
 def _log_sine_table(n: int) -> tuple[int, ...]:
@@ -191,15 +124,17 @@ def _log_sine_table(n: int) -> tuple[int, ...]:
 
     Under every embedding z -> zeta_n^j, |1 - z^c| = |2 sin(pi c j/n)|, so
     T[c j mod n] bounds its log2 from above; T[0] is a placeholder that the
-    certificate never reads.  Folded to r <= n/2, pi r/n lies in (0, pi/2];
-    its upper bound X = ceil(_PI_UP r/n) / 2^64 exceeds it by under 2^-62,
-    far less than the gap pi/(2n) to pi/2 when 2r < n, so sin(X) >=
-    sin(pi r/n) there.
+    certificate never reads.  The `balls` kernels compute it in units of
+    2^-64.  Folded to r <= n/2, pi r/n lies in (0, pi/2]; its upper bound
+    X = ceil(pi_hi r/n) / 2^64 exceeds it by under 2^-62, far less than the
+    gap pi/(2n) to pi/2 when 2r < n, so sin(X) >= sin(pi r/n) there.
     """
+    one = 1 << 64
+    pi_hi = pi_fixed(64)[1]
     half = [0]
     for r in range(1, n // 2 + 1):
-        s = 1 << _FP if 2 * r == n else min(_sin_up(-(-_PI_UP * r // n)), 1 << _FP)
-        half.append(_log2_up(2 * s))
+        s = one if 2 * r == n else min(sin_fixed(-(-pi_hi * r // n), 64)[1], one)
+        half.append(log2_fixed(2 * s, 64, LOG_UNIT_BITS)[1])
     return tuple(half + half[(n - 1) // 2 : 0 : -1])
 
 
@@ -306,7 +241,6 @@ def verify_u_relation(m: int, form: LinearForm) -> bool:
     if form.m != m:
         raise ValueError(f"form has modulus {form.m}, expected {m}")
     n = 2 * m
-    _check_degree(n)
     _, exps = scaled_exponents(form)
     if not exps:
         return True

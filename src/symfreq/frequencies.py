@@ -8,12 +8,17 @@ Three families of numbers are produced, all as midpoint-radius balls:
 * s_value(m, d): the symmetric frequency, through sine ratios;
 * u_value(m, k): log2(sin(pi k/m)/sin(pi/m)), the working coordinates for
   relation hunting (u_value(m, 1) is exactly zero).
+
+S- and U-values, and the residuals of forms over them, are integer
+combinations of one log-sine vector L(r, m) = log2 sin(pi r/m), whose
+entries are cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -60,44 +65,57 @@ def h_value(m: int, d: int, ctx: PrecisionContext) -> RealBall:
     return balls._restamp(balls.ball_div(acc, balls._ln2_cached(wp), wp), ctx.prec)
 
 
+@lru_cache(maxsize=None)
+def log2_sine(r: int, m: int, wp: int) -> RealBall:
+    """L(r, m) = log2 sin(pi r/m) at working precision wp, cached per entry."""
+    ctx = PrecisionContext(wp, 0)
+    return balls.log2_ball(balls.sin_pi_rational(r, m, ctx), ctx)
+
+
+def _log_sine_coeffs(space: str, m: int, items) -> dict[int, Fraction]:
+    """The coefficients a_r with sum(c_i value_i) = sum(a_r L(r, m)).
+
+    U_k = L_k - L_1, so U_1 cancels exactly; S_d = 2 L_(d+1) - L_d - L_(d+2)
+    for d < m'-1, and S_(m'-1) = L_m' - L_(m'-1).
+    """
+    half = m // 2
+    out: dict[int, Fraction] = {}
+    for i, c in items:
+        if space == U_SPACE:
+            terms = ((i, c), (1, -c))
+        elif i == half - 1:
+            terms = ((half, c), (half - 1, -c))
+        else:
+            terms = ((i + 1, 2 * c), (i, -c), (i + 2, -c))
+        for r, a in terms:
+            out[r] = out.get(r, 0) + a
+    return {r: a for r, a in out.items() if a}
+
+
+def _log_sine_sum(coeffs: dict, m: int, ctx: PrecisionContext) -> RealBall:
+    """The ball sum(a_r L(r, m)) at precision ctx.prec."""
+    wp = ctx.wp
+    acc = balls.ball_exact_zero(wp)
+    for r, a in coeffs.items():
+        acc = balls.ball_add(acc, balls.ball_mul_fraction(log2_sine(r, m, wp), a, wp), wp)
+    return balls._restamp(acc, ctx.prec)
+
+
 def s_value(m: int, d: int, ctx: PrecisionContext) -> RealBall:
-    """Symmetric frequency via sine ratios.
+    """Symmetric frequency from the log-sine vector.
 
     For d < m'-1 this is log2(sin(pi(d+1)/m)^2 / (sin(pi d/m) sin(pi(d+2)/m)));
     the boundary index d = m'-1 uses the single-ratio form
     log2(sin(pi m'/m)/sin(pi(m'-1)/m)) for either parity of m.
     """
-    half = m // 2
     _check_index("S", m, d)
-    wp = ctx.wp
-    if d == half - 1:
-        num = balls.sin_pi_rational(half, m, PrecisionContext(wp, 0))
-        den = balls.sin_pi_rational(half - 1, m, PrecisionContext(wp, 0))
-        ratio = balls.ball_div(num, den, wp)
-    else:
-        s1 = balls.sin_pi_rational(d + 1, m, PrecisionContext(wp, 0))
-        num = balls.ball_mul(s1, s1, wp)
-        den = balls.ball_mul(
-            balls.sin_pi_rational(d, m, PrecisionContext(wp, 0)),
-            balls.sin_pi_rational(d + 2, m, PrecisionContext(wp, 0)),
-            wp,
-        )
-        ratio = balls.ball_div(num, den, wp)
-    return balls._restamp(balls.ball_div(balls.ln_ball(ratio, wp), balls._ln2_cached(wp), wp), ctx.prec)
+    return _log_sine_sum(_log_sine_coeffs(S_SPACE, m, [(d, 1)]), m, ctx)
 
 
 def u_value(m: int, k: int, ctx: PrecisionContext) -> RealBall:
     """log2(sin(pi k/m)/sin(pi/m)); exactly zero at k = 1."""
     _check_index("U", m, k)
-    if k == 1:
-        return balls.ball_exact_zero(ctx.prec)
-    wp = ctx.wp
-    ratio = balls.ball_div(
-        balls.sin_pi_rational(k, m, PrecisionContext(wp, 0)),
-        balls.sin_pi_rational(1, m, PrecisionContext(wp, 0)),
-        wp,
-    )
-    return balls._restamp(balls.ball_div(balls.ln_ball(ratio, wp), balls._ln2_cached(wp), wp), ctx.prec)
+    return _log_sine_sum(_log_sine_coeffs(U_SPACE, m, [(k, 1)]), m, ctx)
 
 
 def frequency_value(kind: str, m: int, index: int, ctx: PrecisionContext) -> FrequencyValue:
@@ -113,44 +131,26 @@ def frequency_value(kind: str, m: int, index: int, ctx: PrecisionContext) -> Fre
 
 
 def evaluate_form(form: LinearForm, ctx: PrecisionContext) -> RealBall:
-    """Residual ball sum(c_i * value_i) of a linear form.
+    """Residual ball sum(c_i * value_i) of a linear form, summed over the log-sine vector.
 
     A relation is numerically supported when the result contains zero with a
     radius small against the coefficient mass; see residual_report.
     """
-    wp = ctx.wp
-    acc = balls.ball_exact_zero(wp)
-    for idx, c in form.items():
-        if form.space == S_SPACE:
-            v = s_value(form.m, idx, PrecisionContext(wp, 0))
-        else:
-            v = u_value(form.m, idx, PrecisionContext(wp, 0))
-        acc = balls.ball_add(acc, balls.ball_mul_fraction(v, c, wp), wp)
-    return balls._restamp(acc, ctx.prec)
+    return _log_sine_sum(_log_sine_coeffs(form.space, form.m, form.items()), form.m, ctx)
 
 
 def residual_report(form: LinearForm, ctx: PrecisionContext) -> dict:
     """Residual ball plus the numeric-support verdict for a form.
 
     Supported means: the ball contains zero and its radius is at most
-    2^-(prec - guard) * l1(c) * max|value|, i.e. consistent with an exact
-    zero computed at this precision.
+    2^-(prec - guard) * l1(a) * max|L_r|, over the coefficients a_r of the
+    form on the log-sine values L_r it is summed from, i.e. consistent with
+    an exact zero computed at this precision.
     """
-    wp = ctx.wp
-    values = {}
-    for idx, c in form.items():
-        if form.space == S_SPACE:
-            values[idx] = s_value(form.m, idx, PrecisionContext(wp, 0))
-        else:
-            values[idx] = u_value(form.m, idx, PrecisionContext(wp, 0))
-    acc = balls.ball_exact_zero(wp)
-    l1 = Fraction(0)
-    vmax = mpmath.mpf(1)
-    for idx, c in form.items():
-        acc = balls.ball_add(acc, balls.ball_mul_fraction(values[idx], c, wp), wp)
-        l1 += abs(c)
-        vmax = max(vmax, values[idx].abs_upper())
-    residual = balls._restamp(acc, ctx.prec)
+    coeffs = _log_sine_coeffs(form.space, form.m, form.items())
+    residual = _log_sine_sum(coeffs, form.m, ctx)
+    l1 = sum(abs(a) for a in coeffs.values())
+    vmax = max([mpmath.mpf(1)] + [log2_sine(r, form.m, ctx.wp).abs_upper() for r in coeffs])
     tol = mpmath.ldexp(mpmath.mpf(1), -(ctx.prec - ctx.guard))
     tol = mpmath.fmul(tol, mpmath.fmul(vmax, mpmath.fdiv(l1.numerator, l1.denominator) if l1 else mpmath.mpf(1)), prec=53, rounding="u")
     supported = residual.contains_zero() and (form.is_zero() or residual.rad <= tol)

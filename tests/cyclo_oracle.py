@@ -14,8 +14,16 @@ from fractions import Fraction
 
 import mpmath
 
-from symfreq.cyclotomic import _check_degree, cyclotomic_poly
+from symfreq.cyclotomic import cyclotomic_poly
 from symfreq.intmath import euler_phi
+
+#: Dense products cost O(phi(M)^2) per multiplication; larger fields are refused.
+MAX_DEGREE = 4096
+
+
+def _check_degree(M: int):
+    if euler_phi(M) > MAX_DEGREE:
+        raise ValueError(f"phi({M}) = {euler_phi(M)} exceeds the oracle's degree bound {MAX_DEGREE}")
 
 
 def _reduce_mod_cyclotomic(coeffs: list, M: int) -> list:

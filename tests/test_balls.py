@@ -93,6 +93,63 @@ class TestBallBasics:
             ball_div(ball_from_int(1, 64), z, 64)
 
 
+KERNEL_F = (64, 300, 1100)
+
+
+class TestKernels:
+    """The integer kernels bound pi, ln 2, sin and log2 in units of 2^-F.
+
+    Each is checked against mpmath at 2F + 64 bits: lo <= 2^F v <= hi, and
+    hi - lo is a few units.
+    """
+
+    @pytest.mark.parametrize("F", KERNEL_F)
+    def test_pi(self, F):
+        lo, hi = balls.pi_fixed(F)
+        with mpmath.workprec(2 * F + 64):
+            assert lo <= mpmath.ldexp(mpmath.pi, F) <= hi
+        assert hi - lo <= 2
+
+    @pytest.mark.parametrize("F", KERNEL_F)
+    def test_ln2(self, F):
+        lo, hi = balls.ln2_fixed(F)
+        with mpmath.workprec(2 * F + 64):
+            assert lo <= mpmath.ldexp(mpmath.ln2, F) <= hi
+        assert hi - lo <= 2
+
+    @pytest.mark.parametrize("F", KERNEL_F)
+    def test_sin_pi_rational(self, F):
+        # at the floor of pi_lo a/b and the ceiling of pi_hi a/b, as
+        # sin_pi_rational calls it, and at the top of the domain x < 2; each
+        # carried Taylor term costs up to two units, about F/8 terms
+        rng = random.Random(F)
+        pi_lo, pi_hi = balls.pi_fixed(F)
+        with mpmath.workprec(2 * F + 64):
+            for _ in range(30):
+                b = rng.randint(3, 500)
+                a = rng.randint(1, (b - 1) // 2)
+                bottom, top = pi_lo * a // b, -(-pi_hi * a // b)
+                for x in (bottom, top, (2 << F) - 1):
+                    lo, hi = balls.sin_fixed(x, F)
+                    assert lo <= mpmath.ldexp(mpmath.sin(mpmath.ldexp(x, -F)), F) <= hi, (a, b, x)
+                    assert hi - lo <= F // 4 + 32
+                ref = mpmath.ldexp(mpmath.sinpi(mpmath.mpf(a) / b), F)
+                assert balls.sin_fixed(bottom, F)[0] <= ref <= balls.sin_fixed(top, F)[1], (a, b)
+
+    @pytest.mark.parametrize("F", KERNEL_F)
+    def test_log2(self, F):
+        # y spans 2^-F..2^F; bits = 20 at F = 64 is the log-sine table's case
+        rng = random.Random(F)
+        with mpmath.workprec(2 * F + 64):
+            for bits in {F - 3, 20}:
+                for _ in range(30):
+                    y = rng.randint(1, 1 << rng.randint(1, 2 * F))
+                    lo, hi = balls.log2_fixed(y, F, bits)
+                    ref = mpmath.ldexp(mpmath.log(mpmath.ldexp(y, -F), 2), bits)
+                    assert lo <= ref <= hi, (y, bits)
+                    assert hi - lo <= 2
+
+
 class TestPi:
     def test_contains_reference_digits(self):
         for prec in (64, 256):

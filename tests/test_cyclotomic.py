@@ -19,7 +19,6 @@ from cyclo_oracle import (
     zeta,
 )
 from symfreq.cyclotomic import (
-    CyclotomicDegreeError,
     cyclotomic_poly,
     scaled_exponents,
     split_primes,
@@ -161,12 +160,6 @@ def _mean_log_bits(m, form):
 
 
 class TestLogSineTable:
-    def test_pi_constant(self):
-        # the table's pi is the ceiling of the upper end of a 128-bit pi ball
-        ball = balls.pi_ball(balls.PrecisionContext(128))
-        upper = (balls.mpf_to_fraction(ball.mid) + balls.mpf_to_fraction(ball.rad)) * 2**64
-        assert upper <= cyclotomic._PI_UP < upper + 1
-
     def test_bounds_every_entry(self):
         # every entry against a 128-bit interval enclosure, for n in 8..200
         iv = mpmath.iv
@@ -260,10 +253,22 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_u_relation(25, LinearForm.zero(U_SPACE, 27))
 
-    def test_degree_bound(self):
-        m = 4099  # prime, so phi(2m) = 4098 > 4096
-        with pytest.raises(CyclotomicDegreeError):
-            verify_u_relation(m, LinearForm.from_map(U_SPACE, m, {2: F(1)}))
+    # phi(2m) above 4096: the split-prime certificate has no degree limit
+    def test_rejects_beyond_degree_4096(self):
+        m = 4099  # prime, phi(2m) = 4098
+        assert verify_u_relation(m, _u_form(m, {2: 1})) is False
+
+    # a two-p relation at m = 4106 = 2 * 2053, phi(2m) = 4104
+    TWO_P_4106 = {3: -1, 2052: 1, 6: 1, 2050: -1, 2: -1}
+
+    def test_accepts_beyond_degree_4096(self):
+        assert verify_u_relation(4106, _u_form(4106, self.TWO_P_4106)) is True
+
+    def test_perturbation_beyond_degree_4096(self):
+        for k, c in self.TWO_P_4106.items():
+            for d in (-1, 1):
+                bumped = {**self.TWO_P_4106, k: c + d}
+                assert verify_u_relation(4106, _u_form(4106, bumped)) is False, (k, d)
 
     @given(st.sampled_from((10, 14, 16, 27)), st.data())
     @settings(max_examples=40, deadline=None)
