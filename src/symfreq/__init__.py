@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .balls import PrecisionContext, RealBall
 from .cyclotomic import cyclotomic_poly, verify_u_relation
 from .frequencies import evaluate_form, h_value, s_value, u_value
-from .linalg import LinearForm, Rational, form_add, form_scale, rref
+from .linalg import LinearForm, Rational, rref
 from .relations import (
     ModulusProfile,
     RelationBasis,
@@ -42,8 +42,6 @@ __all__ = [
     "u_value",
     "LinearForm",
     "Rational",
-    "form_add",
-    "form_scale",
     "rref",
     "ModulusProfile",
     "RelationBasis",

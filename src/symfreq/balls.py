@@ -463,29 +463,6 @@ def sin_pi_rational(a: int, b: int, ctx: PrecisionContext) -> RealBall:
     return ball_neg(res) if sign < 0 else res
 
 
-def exp_ball(x: RealBall, prec: int) -> RealBall:
-    """Enclosure of exp over the input ball."""
-    wp = prec + 10
-    xu = x.abs_upper()
-    s = max(0, _mag(xu) + 4) if xu != 0 else 0
-    y = ball_scale_2exp(x, -s)
-    term = ball_from_int(1, wp)
-    acc = term
-    k = 1
-    target = mpmath.ldexp(_ONE, -(wp + 4))
-    while True:
-        term = ball_div_int(ball_mul(term, y, wp), k, wp)
-        bound = term.abs_upper()
-        if bound <= target:
-            acc = ball_inflate(acc, _rmul(bound, mpmath.mpf(2)))
-            break
-        acc = ball_add(acc, term, wp)
-        k += 1
-    for _ in range(s):
-        acc = ball_mul(acc, acc, wp)
-    return _restamp(acc, prec)
-
-
 # ----------------------------------------------------------------------
 # log-Gamma
 

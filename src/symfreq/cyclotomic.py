@@ -9,25 +9,32 @@ ratio is an element of the cyclotomic field of conductor 2m:
 so after clearing denominators the whole check is an equality A = B between
 a root of unity times a product of factors 1 - z^c and another such product
 in Z[z].  `verify_u_relation` is the one entry point.  The equality is
-decided by evaluation at split primes: for a prime p = 1 (mod 2m) and an
-element w of order 2m in F_p, each map z -> w^j with j a unit mod 2m is a
-ring homomorphism Z[z] -> F_p.  A mismatch at one of them disproves the
-claim.  Agreement at all of them, over primes whose product P exceeds
-2^bits, proves it once bits bounds the mean over the complex embeddings
-sigma of log2|sigma(A - B)|: a nonzero A - B in PZ[z] would have a norm of
-at least P^phi(2m), too large for that mean.  The bound comes from a cached
-table of log2|2 sin(pi r/2m)| in integer fixed point, rounded up, and is
-only computed once the first prime agrees, so a rejection never pays for
-it.  No floating point is involved.
+decided by evaluation at split primes below 2^31: for a prime p = 1
+(mod 2m) and an element w of order 2m in F_p, each map z -> w^j with j a
+unit mod 2m is a ring homomorphism Z[z] -> F_p.  A mismatch at one of them
+disproves the claim.  Agreement at all of them, over primes whose product P
+exceeds 2^bits, proves it once bits bounds the mean over the complex
+embeddings sigma of log2|sigma(A - B)|: a nonzero A - B in PZ[z] would have
+a norm of at least P^phi(2m), too large for that mean.  Every root, factor
+and prime is evaluated in one int64 numpy pass (a product of two residues
+stays below 2^62), after one scalar root of the first prime that stops
+most false claims.  The bound comes from a cached table of
+log2|2 sin(pi r/2m)| in integer fixed point, rounded up, and is only
+computed once the first prime agrees, so a rejection never pays for it.
+No floating point is involved.  The primes of one class in (2^30, 2^31)
+are finitely many, so a claim whose bound needs more of them raises
+`CertificateLimitError` instead of returning a verdict.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
+
+import numpy as np
 
 from .balls import log2_fixed, pi_fixed, sin_fixed
-from .intmath import divisors, factorize, is_prime
+from .intmath import divisors, euler_phi, factorize, is_prime
 from .linalg import LinearForm, U_SPACE
 
 # ----------------------------------------------------------------------
@@ -73,11 +80,19 @@ def cyclotomic_poly(M: int) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 # Product identities by evaluation at split primes
 
-#: Split primes lie in (2^61, 2^62), so each fits in one machine word.
-PRIME_BITS = 62
+#: Split primes lie in (2^30, 2^31), so the product of two residues fits in int64.
+PRIME_BITS = 31
+
+#: Entries (primes x roots x factors) of one array pass, bounding its memory;
+#: at m = 100 and 210, 2^14 and 2^18 both ran slower, 2^18 with 9 MB more RSS.
+_CHUNK = 1 << 16
 
 # conductor n -> [(p, w), ...], the split primes found so far, descending
 _SPLIT_PRIMES: dict[int, list[tuple[int, int]]] = {}
+
+
+class CertificateLimitError(ArithmeticError):
+    """A claim whose norm bound needs more split primes than its conductor has below 2^31."""
 
 
 def _root_of_unity(n: int, p: int) -> int:
@@ -90,25 +105,67 @@ def _root_of_unity(n: int, p: int) -> int:
     raise ArithmeticError(f"no element of order {n} mod {p}")
 
 
+def _pool_size(n: int) -> int:
+    """An upper bound on the number of primes p = 1 (mod n) in (2^30, 2^31).
+
+    The interval holds at most 2^30/n + 1 integers of that class, and by the
+    Brun-Titchmarsh inequality of Montgomery and Vaughan at most
+    2y/(phi(n) ln(y/n)) primes of it, y = 2^30 > n; here ln(y/n) is bounded
+    below by 0.693 floor(log2(y/n)) in integers.
+    """
+    y = 1 << (PRIME_BITS - 1)
+    size = y // n + 1
+    k = (y // n).bit_length() - 1
+    if k > 0:
+        size = min(size, 2000 * y // (693 * euler_phi(n) * k) + 1)
+    return size
+
+
 def split_primes(n: int, bits: int) -> list[tuple[int, int]]:
     """Pairs (p, w) with p = 1 (mod n) prime and w of exact order n mod p.
 
-    The primes are the largest below 2^62 in that residue class, each proven
-    prime by `is_prime`; enough are returned that their product exceeds
-    2^bits.  Such a p splits completely in Q(zeta_n) (Washington, ch. 2): the
-    prime ideals above it are the kernels of z -> w^j, Z[zeta_n] -> F_p, one
-    for each j in (Z/n)^*.  The pairs are cached per conductor.
+    The primes are the largest in (2^30, 2^31) in that residue class, each
+    proven prime by `is_prime`; enough are returned that their product
+    exceeds 2^bits.  Such a p splits completely in Q(zeta_n) (Washington,
+    ch. 2): the prime ideals above it are the kernels of z -> w^j,
+    Z[zeta_n] -> F_p, one for each j in (Z/n)^*.  The pairs are cached per
+    conductor.  Raises CertificateLimitError when the class has too few
+    primes there: at once when `_pool_size` rules the count out, otherwise
+    once the search passes 2^30.
     """
-    count = max(1, -(-bits // (PRIME_BITS - 1)))  # each prime exceeds 2^61
+    count = max(1, -(-bits // (PRIME_BITS - 1)))  # each prime exceeds 2^30
     primes = _SPLIT_PRIMES.setdefault(n, [])
+    need = f"a {bits}-bit certificate needs {count} split primes for conductor {n}"
+    if count > len(primes) and count > _pool_size(n):
+        raise CertificateLimitError(f"{need}, more than lie in (2^30, 2^31)")
     p = primes[-1][0] - n if primes else ((1 << PRIME_BITS) - 2) // n * n + 1
     while len(primes) < count:
         if p <= 1 << (PRIME_BITS - 1):
-            raise ArithmeticError(f"too few split primes for conductor {n}")
+            raise CertificateLimitError(f"{need}; only {len(primes)} lie in (2^30, 2^31)")
         if is_prime(p):
             primes.append((p, _root_of_unity(n, p)))
         p -= n
     return primes[:count]
+
+
+def _root_tables(n: int, pairs) -> np.ndarray:
+    """Row i: w^r mod p at r and 1 - w^r mod p at n + r, 0 <= r < n, for the i-th pair (p, w)."""
+    p = np.array([q for q, _ in pairs], dtype=np.int64)[:, None]
+    base = np.array([w for _, w in pairs], dtype=np.int64)[:, None]
+    powers = np.ones((len(pairs), n), dtype=np.int64)
+    k = 1
+    while k < n:  # base = w^k: the powers below k give those from k to 2k
+        h = min(k, n - k)
+        powers[:, k : k + h] = powers[:, :h] * base % p
+        base = base * base % p
+        k *= 2
+    return np.concatenate((powers, (1 - powers) % p), axis=1)
+
+
+@lru_cache(maxsize=None)
+def _first_table(n: int, p: int, w: int) -> np.ndarray:
+    """`_root_tables` of the first split prime, the one every claim is evaluated at."""
+    return _root_tables(n, [(p, w)])
 
 
 # ----------------------------------------------------------------------
@@ -138,20 +195,64 @@ def _log_sine_table(n: int) -> tuple[int, ...]:
     return tuple(half + half[(n - 1) // 2 : 0 : -1])
 
 
-def _norm_bits(n: int, left, right, units) -> int:
-    """ceil of the mean over j in `units` of 1 + max(a_j, b_j).
+def _norm_bits(n: int, idx: np.ndarray, exps: list[int], nl: int) -> int:
+    """ceil of the mean over the roots j of 1 + max(a_j, b_j).
 
-    a_j and b_j are the table's upper bounds on log2|sigma_j(prod left)| and
-    log2|sigma_j(prod right)|, sigma_j: z -> zeta_n^j, so for the difference
-    D of the two sides (a root of unity times `left`, minus `right`)
-    log2|sigma_j(D)| <= 1 + max(a_j, b_j).
+    Row i of `idx` holds c j mod n for the root j and each factor
+    (1 - z^c)^e, with exponents `exps`, of which the first `nl` are the left
+    side.  a_j and b_j are the table's upper bounds on log2|sigma_j(prod
+    left)| and log2|sigma_j(prod right)|, sigma_j: z -> zeta_n^j, so for the
+    difference D of the two sides (a root of unity times `left`, minus
+    `right`) log2|sigma_j(D)| <= 1 + max(a_j, b_j).  The sums are taken in
+    int64 when no partial sum can reach 2^63, and in Python ints otherwise.
     """
-    table = _log_sine_table(n)
-    total = sum(
-        max(sum(e * table[c * j % n] for c, e in side) for side in (left, right))
-        for j in units
-    )
-    return 1 - (-total // (len(units) << LOG_UNIT_BITS))
+    logs = np.array(_log_sine_table(n), dtype=np.int64)[idx]
+    exact = max(exps, default=0) * int(np.abs(logs).max(initial=0)) * idx.size < 1 << 63
+    dtype = np.int64 if exact else object
+    logs, e = logs.astype(dtype, copy=False), np.array(exps, dtype=dtype)
+    total = int(np.maximum(logs[:, :nl] @ e[:nl], logs[:, nl:] @ e[nl:]).sum())
+    return 1 - (-total // (len(idx) << LOG_UNIT_BITS))
+
+
+# ----------------------------------------------------------------------
+# Array evaluation at split primes
+
+
+def _agree_at(pos: np.ndarray, sides: list[list[int]], pairs, tables: np.ndarray) -> bool:
+    """Whether the two sides agree under z -> w^j at every root j and split prime (p, w).
+
+    Row i of `pos` holds, for the root j, each side's factors as positions
+    in a prime's row of `tables` (`_root_tables`: w^r at r, 1 - w^r at
+    n + r), padded to one width with position 0 (w^0 = 1); `sides` holds
+    their exponents in the same (2, width) layout.  The primes of `pairs`
+    are evaluated together, along a leading axis, and the roots in chunks
+    of at most `_CHUNK` entries.  Each exponent e is reduced to
+    (e - 1) mod (p - 1) + 1 in Python ints, which leaves b^e mod p unchanged
+    for every residue b, zero included.
+    """
+    primes = [p for p, _ in pairs]
+    p = np.array(primes, dtype=np.int64)[:, None, None, None]
+    reduced = [[[(e - 1) % (q - 1) + 1 for e in side] for side in sides] for q in primes]
+    bits = np.array(reduced, dtype=np.int64)[:, None]
+    top = int(bits.max()).bit_length()
+    masks = (bits >> np.arange(top).reshape(-1, 1, 1, 1, 1)) & 1 == 1
+    rows = max(1, _CHUNK // (len(primes) * pos[0].size))
+    for r in range(0, len(pos), rows):
+        # square-and-multiply of every base at once, then each side's product
+        x = tables[:, pos[r : r + rows]]
+        acc = np.ones_like(x)
+        tmp = np.empty_like(x)
+        for i in range(top):
+            if i:
+                np.remainder(np.multiply(x, x, out=x), p, out=x)
+            np.remainder(np.multiply(acc, x, out=tmp), p, out=tmp)
+            np.copyto(acc, tmp, where=masks[i])
+        while acc.shape[-1] > 1:
+            h = acc.shape[-1] // 2
+            acc = np.concatenate((acc[..., :h] * acc[..., h : 2 * h] % p, acc[..., 2 * h :]), axis=-1)
+        if not np.array_equal(acc[:, :, 0], acc[:, :, 1]):
+            return False
+    return True
 
 
 def _products_agree(n: int, twist: int, left, right, units) -> bool:
@@ -161,11 +262,14 @@ def _products_agree(n: int, twist: int, left, right, units) -> bool:
     `units` holds one j of each pair {j, -j} of units mod n, chosen so that
     complex conjugation maps the difference D of the two sides to a root of
     unity times D (see `verify_u_relation`).  Both sides are evaluated at
-    z -> w^j mod p for each j in `units` and each split prime p.  A mismatch
-    at one root proves D nonzero.  Agreement at every j of a prime p puts D
-    in every prime ideal above p, since D vanishes at w^j iff it vanishes at
-    w^(-j), hence in pZ[z]; over primes whose product P exceeds 2^bits, D
-    lies in PZ[z], so a nonzero D would have |N(D)| >= P^phi(n) >
+    z -> w^j mod p for each j in `units` and each split prime p < 2^31, as
+    int64 array work: one gathered index array c j mod n serves every prime
+    and the norm bound.  A mismatch at one root proves D nonzero; the first
+    root of the first prime is checked with scalar `pow` before the array
+    pass, so most false claims stop there.  Agreement at every j of a prime
+    p puts D in every prime ideal above p, since D vanishes at w^j iff it
+    vanishes at w^(-j), hence in pZ[z]; over primes whose product P exceeds
+    2^bits, D lies in PZ[z], so a nonzero D would have |N(D)| >= P^phi(n) >
     2^(bits phi(n)).  Here bits is the smaller of two bounds on the mean of
     log2|sigma(D)| over the embeddings sigma, each of which caps
     |N(D)| = prod |sigma(D)| at 2^(bits phi(n)): M + 1, as every factor has
@@ -174,29 +278,36 @@ def _products_agree(n: int, twist: int, left, right, units) -> bool:
     table; the mean over `units` is the mean over all embeddings, since
     |sigma_(-j)(x)| = |sigma_j(x)| for every x.  So D = 0.  The table bound
     is computed only after the first prime agrees; for a true relation it is
-    usually below the 61 bits of that prime.
+    usually below the 30 bits of that prime.
     """
-
-    def agree(p: int, w: int) -> bool:
-        powers = [1] * n
-        for i in range(1, n):
-            powers[i] = powers[i - 1] * w % p
-        for j in units:
-            lhs = powers[twist * j % n]
-            for c, e in left:
-                lhs = lhs * pow(1 - powers[c * j % n], e, p) % p
-            rhs = 1
-            for c, e in right:
-                rhs = rhs * pow(1 - powers[c * j % n], e, p) % p
-            if lhs != rhs:
-                return False
-        return True
-
-    if not agree(*split_primes(n, 1)[0]):
+    cs = [c for c, _ in left] + [c for c, _ in right]
+    exps = [e for _, e in left] + [e for _, e in right]
+    nl = len(left)
+    p, w = split_primes(n, 1)[0]
+    table = _first_table(n, p, w)
+    j = units[0]
+    bases = table[0, [n + c * j % n for c in cs]].tolist()
+    vals = [pow(b, e, p) for b, e in zip(bases, exps)]
+    if pow(w, twist * j, p) * prod(vals[:nl]) % p != prod(vals[nl:]) % p:
         return False
-    mass = max(sum(e for _, e in left), sum(e for _, e in right))
-    bits = min(mass + 1, _norm_bits(n, left, right, units))
-    return all(agree(p, w) for p, w in split_primes(n, bits)[1:])
+    units = np.array(units, dtype=np.int64)
+    idx = np.outer(units, np.array(cs, dtype=np.int64)) % n
+    # the twist joins the left side as w^(twist j) with exponent 1
+    nr = len(cs) - nl
+    width = max(nl + 1, nr)
+    pos = np.zeros((len(units), 2, width), dtype=np.int64)
+    pos[:, 0, 0] = twist * units % n
+    pos[:, 0, 1 : nl + 1] = n + idx[:, :nl]
+    pos[:, 1, :nr] = n + idx[:, nl:]
+    sides = [side + [1] * (width - len(side)) for side in ([1, *exps[:nl]], exps[nl:])]
+    if not _agree_at(pos, sides, [(p, w)], table):
+        return False
+    mass = max(sum(exps[:nl]), sum(exps[nl:]))
+    rest = split_primes(n, min(mass + 1, _norm_bits(n, idx, exps, nl)))[1:]
+    # later primes in batches of at most `_CHUNK` entries, tables built per batch
+    step = max(1, _CHUNK // pos.size)
+    batches = (rest[i : i + step] for i in range(0, len(rest), step))
+    return all(_agree_at(pos, sides, batch, _root_tables(n, batch)) for batch in batches)
 
 
 # ----------------------------------------------------------------------
@@ -205,16 +316,18 @@ def _products_agree(n: int, twist: int, left, right, units) -> bool:
 
 def scaled_exponents(form: LinearForm) -> tuple[int, dict[int, int]]:
     """Clear denominators of a form: (lcm L, {index: integer coefficient})."""
-    items = form.items()
-    scale = lcm(*(c.denominator for _, c in items)) if items else 1
-    return scale, {k: c.numerator * (scale // c.denominator) for k, c in items}
+    coeffs, first = form.coeffs, form.first_index
+    scale = lcm(*{c.denominator for c in coeffs})
+    return scale, {first + i: c.numerator * (scale // c.denominator) for i, c in enumerate(coeffs) if c.numerator}
 
 
 def verify_u_relation(m: int, form: LinearForm) -> bool:
     """Exact certificate for a claimed relation among the m-modulus log-sine values.
 
-    The coefficients are scaled by the lcm of their denominators to integers
-    e_k; the relation holds iff prod_k ratio_k^(e_k) = 1.  With z = zeta_2m,
+    The coefficients are scaled by the lcm of their denominators to integers,
+    then divided by the gcd g of those, giving e_k; each ratio_k is a
+    positive real, and a positive real whose g-th power is 1 is 1, so the
+    relation holds iff prod_k ratio_k^(e_k) = 1.  With z = zeta_2m,
     n = 2m, S = sum e_k and ratio_k = z^(1-k) (1 - z^(2k)) / (1 - z^2), that
     is the identity A = B between
 
@@ -244,6 +357,8 @@ def verify_u_relation(m: int, form: LinearForm) -> bool:
     _, exps = scaled_exponents(form)
     if not exps:
         return True
+    g = gcd(*exps.values())
+    exps = {k: e // g for k, e in exps.items()}
     twist = sum(e * (1 - k) for k, e in exps.items()) % n
     total = sum(exps.values())
     left = [(2 * k, e) for k, e in exps.items() if e > 0]

@@ -124,17 +124,6 @@ class LinearForm:
         return all(c == 0 for c in self.coeffs)
 
 
-def form_add(a: LinearForm, b: LinearForm) -> LinearForm:
-    if a.space != b.space or a.m != b.m:
-        raise ValueError("cannot add forms from different spaces or moduli")
-    return LinearForm(a.space, a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def form_scale(a: LinearForm, c: Fraction) -> LinearForm:
-    c = Fraction(c)
-    return LinearForm(a.space, a.m, tuple(c * x for x in a.coeffs))
-
-
 def form_to_json(form: LinearForm, provenance: str | None = None) -> dict:
     out: dict = {
         "m": form.m,

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from closed_form import closed_form_count
 from series_oracle import h_series
 from symfreq import balls
 from symfreq.balls import PrecisionContext
@@ -20,7 +21,7 @@ from symfreq.cyclotomic import verify_u_relation
 from symfreq.frequencies import h_value, s_value, u_value
 from symfreq.linalg import LinearForm, U_SPACE, rref, stack_forms
 from symfreq.relations import UnsupportedModulus, phi_inverse, short_s_relation, u_basis
-from symfreq.relations import closed_form_count, modulus_profile
+from symfreq.relations import modulus_profile
 from symfreq.solver import discover_relations, express_dependents, scan_range
 
 

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ball_exp import exp_ball
 from symfreq import balls
 from symfreq.balls import (
     PrecisionContext,
@@ -18,7 +19,6 @@ from symfreq.balls import (
     ball_mul_fraction,
     ball_sub,
     bernoulli_number,
-    exp_ball,
     lgamma_ball,
     ln_ball,
     log2_ball,

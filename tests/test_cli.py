@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from symfreq.cli import EXIT_OK, EXIT_UNSUPPORTED, EXIT_USAGE, EXIT_VERIFY_FAILED, decimal_up
-from symfreq.linalg import form_to_json
+from symfreq.linalg import LinearForm, U_SPACE, form_to_json
 from symfreq.relations import phi_forward, u_basis
 
 
@@ -134,6 +134,16 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         rel = doc["payload"]["relations"][0]
         assert not rel["exact"]["pass"] and not rel["numeric"]["pass"]
+
+    def test_certificate_past_the_prime_pool(self, run_cli, tmp_path, capsys):
+        # gcd-1 exponents near 10^9 at m = 27 need more split primes than lie below 2^31
+        forms = u_basis(27).forms
+        vec = [10**9 * c + d for c, d in zip(forms[0].coeffs, forms[1].coeffs)]
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps(form_to_json(LinearForm(U_SPACE, 27, tuple(vec)))))
+        code, _ = run_cli("verify", "--m", "27", "--relations", str(f), "--mode", "exact")
+        assert code == EXIT_UNSUPPORTED
+        assert "split primes" in capsys.readouterr().err
 
     def test_s_space_converted(self, run_cli_json, tmp_path):
         f = tmp_path / "s.json"

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +27,7 @@ from symfreq.cyclotomic import (
     verify_u_relation,
 )
 from symfreq import balls, cyclotomic
-from symfreq.intmath import divisors, euler_phi, is_prime
+from symfreq.intmath import divisors, euler_phi, factorize, is_prime
 from symfreq.linalg import LinearForm, U_SPACE, rref
 from symfreq.relations import identity_u_basis, u_basis
 
@@ -110,7 +112,7 @@ class TestSplitPrimes:
         pairs = split_primes(n, 300)
         assert len({p for p, _ in pairs}) == len(pairs)
         for p, w in pairs:
-            assert is_prime(p) and p % n == 1 and p < 2**62
+            assert is_prime(p) and p % n == 1 and 2**30 < p < 2**31
             # w has order exactly n: its first n powers are distinct
             assert pow(w, n, p) == 1
             assert len({pow(w, i, p) for i in range(n)}) == n
@@ -126,9 +128,13 @@ class TestSplitPrimes:
 
         monkeypatch.setattr(cyclotomic, "split_primes", spy)
         for m in (16, 27, 35):
+            forms = u_basis(m).forms
             for scale in (1, 64, 1000):
-                for form in u_basis(m).forms:
-                    big = LinearForm(U_SPACE, m, tuple(scale * c for c in form.coeffs))
+                for form, other in zip(forms, forms[1:] + forms[:1]):
+                    # exponents of gcd 1, so the certificate cannot divide the scale away
+                    vec = tuple(scale * c + d for c, d in zip(form.coeffs, other.coeffs))
+                    assert gcd(*(int(c) for c in vec)) == 1
+                    big = LinearForm(U_SPACE, m, vec)
                     calls.clear()
                     assert verify_u_relation(m, big) is True
                     # one prime first, then the primes of the norm bound
@@ -136,6 +142,32 @@ class TestSplitPrimes:
                     assert n == n2 == 2 * m and pairs[0] == first[0]
                     assert _mean_log_bits(m, big) <= bits <= _mass(big) + 1
                     assert prod(p for p, _ in pairs) > 2**bits
+
+    @pytest.mark.parametrize("n", [8, 54, 200])
+    def test_root_tables(self, n):
+        pairs = split_primes(n, 100)
+        tables = cyclotomic._root_tables(n, pairs)
+        for (p, w), row in zip(pairs, tables.tolist()):
+            powers = [pow(w, r, p) for r in range(n)]
+            assert row == powers + [(1 - x) % p for x in powers]
+
+    @pytest.mark.parametrize("n", [2**20, 100002])
+    def test_prime_pool(self, monkeypatch, n):
+        # _pool_size bounds the primes the search finds in (2^30, 2^31); a
+        # request above the bound is refused before any search, one within
+        # it but past the primes found once the search reaches 2^30
+        monkeypatch.setattr(cyclotomic, "_SPLIT_PRIMES", {})
+        size = cyclotomic._pool_size(n)
+        with pytest.raises(cyclotomic.CertificateLimitError):
+            split_primes(n, 30 * size + 1)
+        assert cyclotomic._SPLIT_PRIMES[n] == []
+        with pytest.raises(cyclotomic.CertificateLimitError):
+            split_primes(n, 30 * size)
+        found = cyclotomic._SPLIT_PRIMES[n]
+        assert 0 < len(found) <= size
+        assert split_primes(n, 30 * len(found)) == found
+        with pytest.raises(cyclotomic.CertificateLimitError):
+            split_primes(n, 30 * len(found) + 1)
 
 
 def _mean_log_bits(m, form):
@@ -298,11 +330,12 @@ class TestVerify:
         assert via_elements(m, pert) is verify_u_relation(m, pert) is False
 
     def test_multi_prime_accept(self):
-        # M far above one prime's 61 bits, so acceptance needs many primes
+        # M far above one prime's 30 bits, and exponents with gcd 1, so
+        # acceptance needs many primes
         forms = identity_u_basis(100).forms
-        vec = [64 * sum(f.coeffs[i] for f in forms) for i in range(49)]
+        vec = [64 * sum(f.coeffs[i] for f in forms) + forms[0].coeffs[i] for i in range(49)]
         form = LinearForm(U_SPACE, 100, tuple(vec))
-        assert _mass(form) > 100 * 61
+        assert _mass(form) > 100 * 61 and gcd(*(int(c) for c in vec)) == 1
         assert verify_u_relation(100, form) is True
         for i in range(len(vec)):
             for d in (-1, 1):
@@ -332,13 +365,16 @@ def test_verdict_is_span_membership(m, data):
 
 @pytest.mark.parametrize("m", [12, 30])
 def test_large_exponents(m):
-    # e x a relation is a relation; a +-1 change on one coefficient is not.
-    # The accepts at m = 12 need 17 to 142 split primes, those at m = 30 up
-    # to 42, so the multi-prime path runs.
-    for form in identity_u_basis(m).forms:
+    # e x a relation plus another is a relation, with exponents near e and of
+    # gcd 1; a +-1 change on one coefficient is not.  The accepts at m = 12
+    # need 34 to 289 split primes, those at m = 30 up to 84, so the
+    # multi-prime path runs.
+    forms = identity_u_basis(m).forms
+    for form, other in zip(forms, forms[1:] + forms[:1]):
         first = next(i for i, c in enumerate(form.coeffs) if c)
         for e in (1000, 4321):
-            vec = [e * c for c in form.coeffs]
+            vec = [e * c + d for c, d in zip(form.coeffs, other.coeffs)]
+            assert gcd(*(int(c) for c in vec)) == 1
             assert verify_u_relation(m, LinearForm(U_SPACE, m, tuple(vec))) is True
             for d in (-1, 1):
                 bumped = list(vec)
@@ -349,14 +385,128 @@ def test_large_exponents(m):
 @pytest.mark.parametrize("n", [8, 10, 24, 60])
 def test_all_roots_large_exponents(n):
     # (1 - z^2)^e = ((1 - z)(1 + z))^e with 1 + z = 1 - z^(n/2 + 1), checked
-    # by the product loop behind verify_u_relation on the roots it is given
+    # by the product check behind verify_u_relation on the roots it is given
     # there (one unit j of each pair {j, -j}).  Conjugation sends each side
-    # to (-1)^e z^(-2e) times itself, as that root set requires.
+    # to (-1)^e z^(-2e) times itself, as that root set requires.  At
+    # e = 10^5 an accept needs about 1700 (n = 8) and 1900 (n = 10) primes.
     units = [j for j in range(1, n // 2) if gcd(j, n) == 1]
     one_plus = n // 2 + 1
     agree = cyclotomic._products_agree
-    for e in (1000, 4321):
+    for e in (1000, 4321, 10**5) if n in (8, 10) else (1000, 4321):
         assert agree(n, 0, [(2, e)], [(1, e), (one_plus, e)], units) is True
         for d in (-1, 1):
             assert agree(n, 0, [(2, e + d)], [(1, e), (one_plus, e)], units) is False
             assert agree(n, 0, [(2, e)], [(1, e + d), (one_plus, e)], units) is False
+
+
+@pytest.mark.parametrize("m", [27, 35])
+@pytest.mark.parametrize("scale", [2**70, 10**9])
+def test_scaled_basis_form(m, scale):
+    # a relation scaled far past int64 is still a relation, and every +-1
+    # change on one coefficient, with exponents near the scale, is not
+    vec = [scale * c for c in u_basis(m).forms[0].coeffs]
+    assert verify_u_relation(m, LinearForm(U_SPACE, m, tuple(vec))) is True
+    for i in range(len(vec)):
+        for d in (-1, 1):
+            bumped = list(vec)
+            bumped[i] += d
+            assert verify_u_relation(m, LinearForm(U_SPACE, m, tuple(bumped))) is False, (i, d)
+
+
+def test_norm_bits_exact_at_any_exponent():
+    # the array bound against the same sums in Python ints, on both sides of
+    # the point where an int64 sum could wrap
+    n, units, cs = 54, [1, 5, 7, 11, 13, 17, 19, 23, 25], [2, 4, 10, 6, 8, 14]
+    idx = np.outer(units, cs) % n
+    table = cyclotomic._log_sine_table(n)
+    big = [2**35, 7, 2**34, 1, 3, 2**33]  # partial sums near 2^62, still int64
+    for exps in ([3, 1, 4, 1, 5, 9], big, [2**40, 7, 2**38, 1, 3, 2**39], [2**70, 1, 3**50, 2**69 + 1, 5, 10**9]):
+        for nl in (2, 3):
+
+            def side(lo, hi, j):
+                return sum(e * table[c * j % n] for c, e in zip(cs[lo:hi], exps[lo:hi]))
+
+            total = sum(max(side(0, nl, j), side(nl, None, j)) for j in units)
+            expect = 1 - (-total // (len(units) << cyclotomic.LOG_UNIT_BITS))
+            assert cyclotomic._norm_bits(n, idx, exps, nl) == expect, (exps, nl)
+
+
+def test_identity_combinations_at_m100():
+    # identity-basis combinations with coefficients in +-1000 need 60 to 167
+    # split primes each; a +-1 change on one coefficient is refused
+    rng = random.Random(13)
+    rows = _identity_rows(100)
+    for _ in range(3):
+        coeffs = [rng.randint(-1000, 1000) for _ in rows]
+        vec = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(len(rows[0]))]
+        assert verify_u_relation(100, LinearForm(U_SPACE, 100, tuple(vec))) is True
+        vec[rng.randrange(len(vec))] += rng.choice((-1, 1))
+        assert verify_u_relation(100, LinearForm(U_SPACE, 100, tuple(vec))) is False
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 500])
+def test_verdicts_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    # chunks below one prime's roots split the roots; larger ones batch primes
+    monkeypatch.setattr(cyclotomic, "_CHUNK", chunk)
+    forms = identity_u_basis(60).forms
+    vec = [500 * sum(f.coeffs[i] for f in forms) + forms[0].coeffs[i] for i in range(29)]
+    assert verify_u_relation(60, LinearForm(U_SPACE, 60, tuple(vec))) is True
+    for i in (0, 13, 28):
+        bumped = list(vec)
+        bumped[i] += 1
+        assert verify_u_relation(60, LinearForm(U_SPACE, 60, tuple(bumped))) is False
+
+
+def test_exponents_past_int64_in_the_array_pass(monkeypatch):
+    # z^e (1 - z)^e = 1 at n = 6, since 1 - z = z^-1 there; with the norm
+    # bound forced to one prime, the array pass must reduce e exactly
+    monkeypatch.setattr(cyclotomic, "_norm_bits", lambda *args: 1)
+    for e in (2**70, 2**70 + 1, 10**30 + 7, 3**60):
+        assert cyclotomic._products_agree(6, e % 6, [(1, e)], [], [1]) is True
+        assert cyclotomic._products_agree(6, (e + 1) % 6, [(1, e)], [], [1]) is False
+
+
+def test_claims_past_the_prime_pool_are_refused_at_once():
+    # a true claim with gcd-1 exponents near 10^9 at m = 27 needs about
+    # 5*10^8 bits, and z (1 - z) = 1 at n = 6 raised to 2^70 about 2^50; the
+    # split primes below 2^31 supply at most about 2*10^8 and 2*10^9
+    forms = u_basis(27).forms
+    vec = tuple(10**9 * c + d for c, d in zip(forms[0].coeffs, forms[1].coeffs))
+    with pytest.raises(cyclotomic.CertificateLimitError):
+        verify_u_relation(27, LinearForm(U_SPACE, 27, vec))
+    e = 2**70
+    with pytest.raises(cyclotomic.CertificateLimitError):
+        cyclotomic._products_agree(6, e % 6, [(1, e)], [], [1])
+    assert len(cyclotomic._SPLIT_PRIMES[54]) < 100 and len(cyclotomic._SPLIT_PRIMES[6]) < 100
+
+
+def _order(b, p):
+    o = p - 1
+    for q, _ in factorize(p - 1):
+        while o % q == 0 and pow(b, o // q, p) == 1:
+            o //= q
+    return o
+
+
+def test_a_mismatch_after_the_first_root_is_found(monkeypatch):
+    # (1 - z^2)^e = 1 with e the order of 1 - w^2 mod the first split prime
+    # holds at the root j = 1 of that prime but not at j = 3, which a chunk
+    # of one entry puts in a later pass
+    monkeypatch.setattr(cyclotomic, "_CHUNK", 1)
+    monkeypatch.setattr(cyclotomic, "_norm_bits", lambda *args: 1)
+    p, w = split_primes(10, 1)[0]
+    e = _order(1 - pow(w, 2, p), p)
+    assert pow(1 - pow(w, 6, p), e, p) != 1
+    assert cyclotomic._products_agree(10, 0, [(2, e)], [], [1, 3]) is False
+
+
+def test_a_mismatch_after_the_first_primes_is_found(monkeypatch):
+    # (1 - z^2)^E = (1 - z)^E with E = lcm(p1 - 1, p2 - 1) holds at every
+    # root of the first two split primes by Fermat, and is false; a forced
+    # bound of 90 bits asks for three primes, and a chunk of one entry puts
+    # each prime after the first in its own pass, so the last pass refutes it
+    monkeypatch.setattr(cyclotomic, "_CHUNK", 1)
+    monkeypatch.setattr(cyclotomic, "_norm_bits", lambda *args: 90)
+    (p1, _), (p2, _) = split_primes(8, 60)
+    e = lcm(p1 - 1, p2 - 1)
+    assert cyclotomic._products_agree(8, 0, [(2, e)], [(1, e)], [1, 3]) is False

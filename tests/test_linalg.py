@@ -4,15 +4,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from form_ops import form_add, form_scale
 from fraction_rref import fraction_rref
 from symfreq import linalg
 from symfreq.linalg import (
     LinearForm,
     S_SPACE,
     U_SPACE,
-    form_add,
     form_from_json,
-    form_scale,
     form_to_json,
     rat_from_str,
     rat_to_str,

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symfreq.lll import gram_schmidt_check, lll_reduce
+from gram_schmidt import gram_schmidt_check
+from symfreq.lll import lll_reduce
 from symfreq.linalg import rref
 
 

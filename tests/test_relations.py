@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closed_form import closed_form_count
 from symfreq.balls import PrecisionContext
 from symfreq.cyclotomic import verify_u_relation
 from symfreq.frequencies import evaluate_form
@@ -18,7 +19,6 @@ from symfreq.relations import (
     RelationBasis,
     UnsupportedModulus,
     c_set,
-    closed_form_count,
     hset,
     identity_rows,
     identity_u_basis,

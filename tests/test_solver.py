@@ -2,16 +2,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from closed_form import closed_form_count
+from form_ops import form_add, form_scale
 from fraction_rref import fraction_rref
 from symfreq.balls import PrecisionContext
 from symfreq.intmath import euler_phi, factorize, is_prime
 from symfreq.cyclotomic import verify_u_relation
 from symfreq.frequencies import evaluate_form
-from symfreq.linalg import LinearForm, S_SPACE, U_SPACE, form_scale, form_add, rref, stack_forms
+from symfreq.linalg import LinearForm, S_SPACE, U_SPACE, rref, stack_forms
 from symfreq import solver
 from symfreq.relations import (
     UnsupportedModulus,
-    closed_form_count,
     identity_u_basis,
     phi_forward,
     phi_inverse,
