@@ -251,8 +251,8 @@ def _restamp(a: RealBall, prec: int) -> RealBall:
 #
 # The package's only code for pi, ln 2, sin and log2.  Each kernel returns
 # integers lo <= 2^F v <= hi for its value v, in units of 2^-F where the
-# caller picks F, so the balls below and the certificate's log-sine table
-# (`cyclotomic._log_sine_table`, at F = 64) share one implementation.
+# caller picks F: the balls below call them with guard bits, and any other
+# integer bound (such as a table of log2|2 sin|) can call them at its own F.
 
 #: Extra fractional bits with which the balls call the kernels.
 _KERNEL_GUARD = 16

@@ -1,29 +1,35 @@
-"""The exact multiplicative certificate for relations among log-sine values.
+"""The exact certificate for relations among log-sine values.
 
-A claimed linear relation sum(c_k * log2(sin(pi*k/m)/sin(pi/m))) = 0 holds
-exactly if and only if the matching product of sine ratios equals 1.  Each
-ratio is an element of the cyclotomic field of conductor 2m:
+A claimed linear relation sum(c_k * log2(sin(pi*k/m)/sin(pi/m))) = 0 is a
+claim about the numbers x_a = log|1 - zeta_m^a| = log(2 sin(pi a/m)).
+`verify_u_relation` is the one entry point, and each verdict carries its
+own proof:
 
-    sin(pi*k/m)/sin(pi/m) = z^(1-k) * (1 - z^(2k)) / (1 - z^2),   z = zeta_2m,
+* True when the claim lies in the span of the cyclotomic identities
+  (`relations.identity_span`): every identity is a theorem, so the claim
+  is one too.  Membership is one exact integer check per claim, and its
+  cost does not grow with the claim's coefficients.
+* False only with a witness.  Each ratio sin(pi*k/m)/sin(pi/m) is an
+  element of the cyclotomic field of conductor 2m:
 
-so after clearing denominators the whole check is an equality A = B between
-a root of unity times a product of factors 1 - z^c and another such product
-in Z[z].  `verify_u_relation` is the one entry point.  The equality is
-decided by evaluation at split primes below 2^31: for a prime p = 1
-(mod 2m) and an element w of order 2m in F_p, each map z -> w^j with j a
-unit mod 2m is a ring homomorphism Z[z] -> F_p.  A mismatch at one of them
-disproves the claim.  Agreement at all of them, over primes whose product P
-exceeds 2^bits, proves it once bits bounds the mean over the complex
-embeddings sigma of log2|sigma(A - B)|: a nonzero A - B in PZ[z] would have
-a norm of at least P^phi(2m), too large for that mean.  Every root, factor
-and prime is evaluated in one int64 numpy pass (a product of two residues
-stays below 2^62), after one scalar root of the first prime that stops
-most false claims.  The bound comes from a cached table of
-log2|2 sin(pi r/2m)| in integer fixed point, rounded up, and is only
-computed once the first prime agrees, so a rejection never pays for it.
-No floating point is involved.  The primes of one class in (2^30, 2^31)
-are finitely many, so a claim whose bound needs more of them raises
-`CertificateLimitError` instead of returning a verdict.
+      sin(pi*k/m)/sin(pi/m) = z^(1-k) * (1 - z^(2k)) / (1 - z^2),   z = zeta_2m,
+
+  so after clearing denominators the claim is an equality A = B between a
+  root of unity times a product of factors 1 - z^c and another such
+  product in Z[z].  For a prime p = 1 (mod 2m) and an element w of order
+  2m in F_p, each map z -> w^j with j a unit mod 2m is a ring homomorphism
+  Z[z] -> F_p, so a root where the two sides differ mod p disproves the
+  claim.  Every root, factor and prime is evaluated in int64 numpy passes
+  (a product of two residues stays below 2^62), after one scalar root of
+  the first prime that stops most false claims.
+
+If no root differs over primes whose product exceeds 2^(M+1), M the number
+of factors on the larger side, the norm argument proves A = B and the
+claim is True after all; by the completeness of the identities (Bass's
+theorem) this never happens.  The primes of one class in (2^30, 2^31) are
+finitely many, so a claim outside the span whose M + 1 bits need more of
+them raises `CertificateLimitError` instead of returning a verdict.  No
+floating point is involved.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .balls import log2_fixed, pi_fixed, sin_fixed
 from .intmath import divisors, euler_phi, factorize, is_prime
 from .linalg import LinearForm, U_SPACE
+from .relations import identity_span
 
 # ----------------------------------------------------------------------
 # Integer polynomials and the cyclotomic polynomial
@@ -92,7 +98,7 @@ _SPLIT_PRIMES: dict[int, list[tuple[int, int]]] = {}
 
 
 class CertificateLimitError(ArithmeticError):
-    """A claim whose norm bound needs more split primes than its conductor has below 2^31."""
+    """A claim outside the identity span whose bound needs more split primes than lie below 2^31."""
 
 
 def _root_of_unity(n: int, p: int) -> int:
@@ -121,6 +127,20 @@ def _pool_size(n: int) -> int:
     return size
 
 
+def _prime_count(n: int, bits: int) -> int:
+    """The number of split primes whose product exceeds 2^bits, each above 2^30.
+
+    Raises CertificateLimitError at once when `_pool_size` rules that many out.
+    """
+    count = max(1, -(-bits // (PRIME_BITS - 1)))
+    if count > _pool_size(n):
+        raise CertificateLimitError(
+            f"a {bits}-bit certificate needs {count} split primes for conductor {n}, "
+            "more than lie in (2^30, 2^31)"
+        )
+    return count
+
+
 def split_primes(n: int, bits: int) -> list[tuple[int, int]]:
     """Pairs (p, w) with p = 1 (mod n) prime and w of exact order n mod p.
 
@@ -133,15 +153,14 @@ def split_primes(n: int, bits: int) -> list[tuple[int, int]]:
     primes there: at once when `_pool_size` rules the count out, otherwise
     once the search passes 2^30.
     """
-    count = max(1, -(-bits // (PRIME_BITS - 1)))  # each prime exceeds 2^30
     primes = _SPLIT_PRIMES.setdefault(n, [])
-    need = f"a {bits}-bit certificate needs {count} split primes for conductor {n}"
-    if count > len(primes) and count > _pool_size(n):
-        raise CertificateLimitError(f"{need}, more than lie in (2^30, 2^31)")
+    count = _prime_count(n, bits)
     p = primes[-1][0] - n if primes else ((1 << PRIME_BITS) - 2) // n * n + 1
     while len(primes) < count:
         if p <= 1 << (PRIME_BITS - 1):
-            raise CertificateLimitError(f"{need}; only {len(primes)} lie in (2^30, 2^31)")
+            raise CertificateLimitError(
+                f"{count} split primes needed for conductor {n}; only {len(primes)} lie in (2^30, 2^31)"
+            )
         if is_prime(p):
             primes.append((p, _root_of_unity(n, p)))
         p -= n
@@ -166,52 +185,6 @@ def _root_tables(n: int, pairs) -> np.ndarray:
 def _first_table(n: int, p: int, w: int) -> np.ndarray:
     """`_root_tables` of the first split prime, the one every claim is evaluated at."""
     return _root_tables(n, [(p, w)])
-
-
-# ----------------------------------------------------------------------
-# The per-embedding norm bound
-
-#: Entries of the log-sine table are in units of 2^-LOG_UNIT_BITS bits.
-LOG_UNIT_BITS = 20
-
-
-@lru_cache(maxsize=None)
-def _log_sine_table(n: int) -> tuple[int, ...]:
-    """T with T[r] >= 2^20 log2|2 sin(pi r/n)| for r = 1..n-1, and T[0] = 0.
-
-    Under every embedding z -> zeta_n^j, |1 - z^c| = |2 sin(pi c j/n)|, so
-    T[c j mod n] bounds its log2 from above; T[0] is a placeholder that the
-    certificate never reads.  The `balls` kernels compute it in units of
-    2^-64.  Folded to r <= n/2, pi r/n lies in (0, pi/2]; its upper bound
-    X = ceil(pi_hi r/n) / 2^64 exceeds it by under 2^-62, far less than the
-    gap pi/(2n) to pi/2 when 2r < n, so sin(X) >= sin(pi r/n) there.
-    """
-    one = 1 << 64
-    pi_hi = pi_fixed(64)[1]
-    half = [0]
-    for r in range(1, n // 2 + 1):
-        s = one if 2 * r == n else min(sin_fixed(-(-pi_hi * r // n), 64)[1], one)
-        half.append(log2_fixed(2 * s, 64, LOG_UNIT_BITS)[1])
-    return tuple(half + half[(n - 1) // 2 : 0 : -1])
-
-
-def _norm_bits(n: int, idx: np.ndarray, exps: list[int], nl: int) -> int:
-    """ceil of the mean over the roots j of 1 + max(a_j, b_j).
-
-    Row i of `idx` holds c j mod n for the root j and each factor
-    (1 - z^c)^e, with exponents `exps`, of which the first `nl` are the left
-    side.  a_j and b_j are the table's upper bounds on log2|sigma_j(prod
-    left)| and log2|sigma_j(prod right)|, sigma_j: z -> zeta_n^j, so for the
-    difference D of the two sides (a root of unity times `left`, minus
-    `right`) log2|sigma_j(D)| <= 1 + max(a_j, b_j).  The sums are taken in
-    int64 when no partial sum can reach 2^63, and in Python ints otherwise.
-    """
-    logs = np.array(_log_sine_table(n), dtype=np.int64)[idx]
-    exact = max(exps, default=0) * int(np.abs(logs).max(initial=0)) * idx.size < 1 << 63
-    dtype = np.int64 if exact else object
-    logs, e = logs.astype(dtype, copy=False), np.array(exps, dtype=dtype)
-    total = int(np.maximum(logs[:, :nl] @ e[:nl], logs[:, nl:] @ e[nl:]).sum())
-    return 1 - (-total // (len(idx) << LOG_UNIT_BITS))
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +228,7 @@ def _agree_at(pos: np.ndarray, sides: list[list[int]], pairs, tables: np.ndarray
     return True
 
 
-def _products_agree(n: int, twist: int, left, right, units) -> bool:
+def _products_agree(n: int, twist: int, left, right, units, bits: int | None = None) -> bool:
     """Whether z^twist * prod(left) = prod(right) in Z[z], z = zeta_n.
 
     `left` and `right` hold (c, e) for factors (1 - z^c)^e with e > 0, and
@@ -263,22 +236,22 @@ def _products_agree(n: int, twist: int, left, right, units) -> bool:
     complex conjugation maps the difference D of the two sides to a root of
     unity times D (see `verify_u_relation`).  Both sides are evaluated at
     z -> w^j mod p for each j in `units` and each split prime p < 2^31, as
-    int64 array work: one gathered index array c j mod n serves every prime
-    and the norm bound.  A mismatch at one root proves D nonzero; the first
-    root of the first prime is checked with scalar `pow` before the array
-    pass, so most false claims stop there.  Agreement at every j of a prime
-    p puts D in every prime ideal above p, since D vanishes at w^j iff it
-    vanishes at w^(-j), hence in pZ[z]; over primes whose product P exceeds
-    2^bits, D lies in PZ[z], so a nonzero D would have |N(D)| >= P^phi(n) >
-    2^(bits phi(n)).  Here bits is the smaller of two bounds on the mean of
-    log2|sigma(D)| over the embeddings sigma, each of which caps
-    |N(D)| = prod |sigma(D)| at 2^(bits phi(n)): M + 1, as every factor has
-    absolute value at most 2 (M = max(sum of left e, sum of right e)), and
-    `_norm_bits`, the same mean taken factor by factor from the log-sine
-    table; the mean over `units` is the mean over all embeddings, since
-    |sigma_(-j)(x)| = |sigma_j(x)| for every x.  So D = 0.  The table bound
-    is computed only after the first prime agrees; for a true relation it is
-    usually below the 30 bits of that prime.
+    int64 array work: one gathered index array c j mod n serves every prime.
+    A mismatch at one root proves D nonzero, so False always comes with its
+    witness.  The first root of the first prime is checked with scalar
+    `pow` before the array pass, so most false claims stop there; the later
+    primes are found and evaluated batch by batch, and the search stops at
+    the first batch with a mismatch.  Agreement at every j of a prime p puts
+    D in every prime ideal above p, since D vanishes at w^j iff it vanishes
+    at w^(-j), hence in pZ[z]; over primes whose product P exceeds 2^bits,
+    D lies in PZ[z], so a nonzero D would have |N(D)| >= P^phi(n) >
+    2^(bits phi(n)).  `bits` defaults to M + 1, M = max(sum of left e, sum
+    of right e): every factor has absolute value at most 2 under every
+    embedding sigma, so |sigma(D)| <= 2^(M+1) and |N(D)| <= 2^((M+1) phi(n)).
+    So agreement there proves D = 0.  A caller with a smaller proven bound
+    on the mean of log2|sigma(D)| over the embeddings may pass it instead.
+    Raises CertificateLimitError, once the first prime agrees, when the
+    bound needs more primes than its conductor has below 2^31.
     """
     cs = [c for c, _ in left] + [c for c, _ in right]
     exps = [e for _, e in left] + [e for _, e in right]
@@ -302,12 +275,16 @@ def _products_agree(n: int, twist: int, left, right, units) -> bool:
     sides = [side + [1] * (width - len(side)) for side in ([1, *exps[:nl]], exps[nl:])]
     if not _agree_at(pos, sides, [(p, w)], table):
         return False
-    mass = max(sum(exps[:nl]), sum(exps[nl:]))
-    rest = split_primes(n, min(mass + 1, _norm_bits(n, idx, exps, nl)))[1:]
+    if bits is None:
+        bits = max(sum(exps[:nl]), sum(exps[nl:])) + 1
+    count = _prime_count(n, bits)
     # later primes in batches of at most `_CHUNK` entries, tables built per batch
     step = max(1, _CHUNK // pos.size)
-    batches = (rest[i : i + step] for i in range(0, len(rest), step))
-    return all(_agree_at(pos, sides, batch, _root_tables(n, batch)) for batch in batches)
+    for have in range(1, count, step):
+        batch = split_primes(n, (PRIME_BITS - 1) * min(count, have + step))[have:]
+        if not _agree_at(pos, sides, batch, _root_tables(n, batch)):
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -327,9 +304,18 @@ def verify_u_relation(m: int, form: LinearForm) -> bool:
     The coefficients are scaled by the lcm of their denominators to integers,
     then divided by the gcd g of those, giving e_k; each ratio_k is a
     positive real, and a positive real whose g-th power is 1 is 1, so the
-    relation holds iff prod_k ratio_k^(e_k) = 1.  With z = zeta_2m,
-    n = 2m, S = sum e_k and ratio_k = z^(1-k) (1 - z^(2k)) / (1 - z^2), that
-    is the identity A = B between
+    relation holds iff sum_k e_k U_k = 0.
+
+    True: the claim is sum_k e_k (x_k - x_1) = 0 with x_a = log|1 - zeta_m^a|,
+    the vector v over x_1..x_m' with v[x_1] = -sum e_k and v[x_k] = e_k.
+    When v lies in the span of the cyclotomic identities
+    (`relations.identity_span`, checked exactly in integers), the claim is
+    a combination of theorems, so it holds; nothing is evaluated.
+
+    False: otherwise the claim is decided at split primes, and it is refuted
+    only by a root where its two sides differ mod p.  With z = zeta_2m,
+    n = 2m, S = sum e_k and ratio_k = z^(1-k) (1 - z^(2k)) / (1 - z^2), the
+    claim is the identity A = B between
 
         A = z^(sum e_k (1-k)) * prod_{e_k>0} (1 - z^(2k))^(e_k) * (1 - z^2)^max(-S, 0),
         B = prod_{e_k<0} (1 - z^(2k))^(-e_k) * (1 - z^2)^max(S, 0),
@@ -337,17 +323,17 @@ def verify_u_relation(m: int, form: LinearForm) -> bool:
     each a product of M = max(sum of positive e_k, sum of |negative e_k|)
     factors 1 - z^c, c = 2k with 1 <= k <= m/2, times a root of unity.  No
     factor vanishes under an embedding z -> zeta_n^j: c j = 0 (mod n) would
-    make m divide k j, hence k, as j is a unit.  The identity is decided
-    exactly at split primes (see `_products_agree`).  Under z -> zeta_n^j
-    the factor 1 - z^(2k) has absolute value |2 sin(2 pi k j/n)|, so the
-    primes needed follow the mean over j of the larger side's log2 absolute
-    value (log2|N(A)|/phi(n) for a true relation) rather than M: one prime
-    for most claims.  Only the j in (Z/n)^* with j < m are checked.  That
-    suffices because A/B is real: up to one root of unity common to A and
-    B, both are products of M binomials z^(1-k) - z^(1+k) and 1 - z^2, each
-    z^a - z^b with a + b = 2 (mod n), which complex conjugation sends to
-    -z^(-2) times itself.  So conjugation maps A - B to a root of unity
-    times A - B.  Returns True iff the relation is exactly valid.
+    make m divide k j, hence k, as j is a unit.  Only the j in (Z/n)^* with
+    j < m are checked.  That suffices because A/B is real: up to one root
+    of unity common to A and B, both are products of M binomials
+    z^(1-k) - z^(1+k) and 1 - z^2, each z^a - z^b with a + b = 2 (mod n),
+    which complex conjugation sends to -z^(-2) times itself.  So
+    conjugation maps A - B to a root of unity times A - B.  If the primes
+    covering M + 1 bits all agree, the norm argument of `_products_agree`
+    proves A = B and the claim is True after all.  By the completeness of
+    the identities (Bass's theorem, see `relations.identity_rows`) that
+    never happens, but neither verdict rests on it.  Returns True iff the
+    relation is exactly valid.
     """
     if form.space != U_SPACE:
         raise ValueError("verify_u_relation expects a U-space form")
@@ -359,8 +345,14 @@ def verify_u_relation(m: int, form: LinearForm) -> bool:
         return True
     g = gcd(*exps.values())
     exps = {k: e // g for k, e in exps.items()}
-    twist = sum(e * (1 - k) for k, e in exps.items()) % n
     total = sum(exps.values())
+    v = [0] * (m // 2)
+    v[0] = -total
+    for k, e in exps.items():
+        v[k - 1] = e
+    if identity_span(m).contains(v):
+        return True
+    twist = sum(e * (1 - k) for k, e in exps.items()) % n
     left = [(2 * k, e) for k, e in exps.items() if e > 0]
     right = [(2 * k, -e) for k, e in exps.items() if e < 0]
     if total < 0:

@@ -18,6 +18,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -350,23 +351,71 @@ def identity_rows(m: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def identity_u_basis(m: int) -> RelationBasis:
-    """Basis of the relation space for any m >= 4, from cyclotomic identities.
+@dataclass(frozen=True)
+class IdentitySpan:
+    """The identities among x_1..x_m' free of every log p, whose coefficients sum to 0.
 
-    Exact elimination of `identity_rows(m)` leaves, in the rows pivoting on
-    an x column, a basis of the identities free of every log p whose
-    coefficients sum to 0.  With x_1 dropped, these rows are a basis of the
-    U-relation space (U_k = (x_k - x_1)/ln 2), complete, not only sound, as
-    the identities span every relation.  Each form is scaled to coprime
-    integer coefficients.
+    Row i of `nums` is den times the x-block of the row of
+    rref(identity_rows(m)) that pivots on x_(pivots[i] + 1), so
+    nums[i, pivots[i]] = den, the lcm of those rows' denominators.  The rows
+    pivoting on a log p or the sum column are left out: a vector v with
+    zeros there lies in the span of the identities iff
+    den v = sum_i v[pivots[i]] nums[i].  nums is int64 when its entries fit,
+    and holds Python ints otherwise.
+    """
+
+    pivots: np.ndarray
+    nums: np.ndarray
+    den: int
+    nmax: int
+
+    def contains(self, v: list[int]) -> bool:
+        """Whether the integer vector v over x_1..x_m' lies in the span, exactly.
+
+        Every entry of either side is at most max|v| (rank nmax + den) in
+        absolute value, so the check runs in int64 when that is below 2^62
+        and in Python ints otherwise.
+        """
+        vmax = max(map(abs, v))
+        dtype = np.int64 if vmax * (len(self.pivots) * self.nmax + self.den) < 1 << 62 else object
+        vec = np.array(v, dtype=dtype)
+        return bool(np.array_equal(self.den * vec, vec[self.pivots] @ self.nums.astype(dtype, copy=False)))
+
+
+@lru_cache(maxsize=None)
+def identity_span(m: int) -> IdentitySpan:
+    """The span of `identity_rows(m)` in the x-coordinates, one elimination per m.
+
+    Every identity row is a theorem (distribution or norm), so any vector in
+    this span is a true relation among the x_a, whatever the completeness
+    of the identities.
     """
     rows = identity_rows(m)
     lead = rows.shape[1] - m // 2
     ech = rref(rows)
+    keep = [i for i, c in enumerate(ech.pivots) if c >= lead]
+    den = math.lcm(*(ech.dens[i] for i in keep))
+    ints = [[x * (den // ech.dens[i]) for x in ech.nums[i][lead:]] for i in keep]
+    nmax = max((abs(x) for row in ints for x in row), default=0)
+    nums = np.array(ints, dtype=np.int64 if nmax < 1 << 63 else object).reshape(len(ints), m // 2)
+    pivots = np.array([ech.pivots[i] - lead for i in keep], dtype=np.int64)
+    for a in (nums, pivots):
+        a.setflags(write=False)
+    return IdentitySpan(pivots, nums, den, nmax)
+
+
+def identity_u_basis(m: int) -> RelationBasis:
+    """Basis of the relation space for any m >= 4, from cyclotomic identities.
+
+    The rows of `identity_span(m)` are a basis of the identities free of
+    every log p whose coefficients sum to 0.  With x_1 dropped, they are a
+    basis of the U-relation space (U_k = (x_k - x_1)/ln 2), complete, not
+    only sound, as the identities span every relation.  Each form is scaled
+    to coprime integer coefficients.
+    """
     forms = []
-    for nums, c in zip(ech.nums, ech.pivots):
-        if c >= lead:
-            ints = nums[lead + 1 :]
-            g = math.gcd(*ints)
-            forms.append(LinearForm(U_SPACE, m, tuple(x // g for x in ints)))
+    for row in identity_span(m).nums.tolist():
+        ints = row[1:]
+        g = math.gcd(*ints)
+        forms.append(LinearForm(U_SPACE, m, tuple(x // g for x in ints)))
     return RelationBasis(m, U_SPACE, tuple(forms), "identities")

@@ -171,7 +171,7 @@ def discover_relations(m: int, precision: int = 256, bound: int = 10**6) -> Disc
         near_miss = False
         # smallest candidates first: once they are verified, the larger rows
         # are usually combinations of them and fail the cheap rank pre-check
-        # instead of entering the (comparatively costly) exact certificate
+        # instead of entering the exact certificate
         for row in sorted(reduced, key=lambda r: sum(map(abs, r[:-1]))):
             coeffs = row[:-1]
             resid = row[-1]
@@ -190,12 +190,6 @@ def discover_relations(m: int, precision: int = 256, bound: int = 10**6) -> Disc
             trial = verified + [form]
             if rref(stack_forms(trial)).rank != len(trial):
                 continue  # already in the verified span, nothing to gain
-            if l1 > 50000:
-                warnings.append(
-                    f"skipped a rank-increasing candidate at m={m} with coefficient "
-                    f"mass {l1}; certificate cost would be excessive"
-                )
-                continue
             if verify_u_relation(m, form):
                 verified = trial
                 found_new = True

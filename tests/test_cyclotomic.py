@@ -20,6 +20,7 @@ from cyclo_oracle import (
     sine_ratio_elem,
     zeta,
 )
+import norm_certificate
 from symfreq.cyclotomic import (
     cyclotomic_poly,
     scaled_exponents,
@@ -119,14 +120,16 @@ class TestSplitPrimes:
         assert prod(p for p, _ in pairs) > 2**300
 
     def test_certificate_uses_enough_primes(self, monkeypatch):
-        calls = []
+        # the norm-bound route of the oracle: its bound lies between the mean
+        # of log2|sigma(A - B)| and M + 1, and the evaluated primes cover it
+        evaluated = []
 
-        def spy(n, bits):
-            pairs = split_primes(n, bits)
-            calls.append((n, bits, pairs))
-            return pairs
+        def spy(pos, sides, pairs, tables):
+            evaluated.extend(pairs)
+            return agree_at(pos, sides, pairs, tables)
 
-        monkeypatch.setattr(cyclotomic, "split_primes", spy)
+        agree_at = cyclotomic._agree_at
+        monkeypatch.setattr(cyclotomic, "_agree_at", spy)
         for m in (16, 27, 35):
             forms = u_basis(m).forms
             for scale in (1, 64, 1000):
@@ -135,13 +138,15 @@ class TestSplitPrimes:
                     vec = tuple(scale * c + d for c, d in zip(form.coeffs, other.coeffs))
                     assert gcd(*(int(c) for c in vec)) == 1
                     big = LinearForm(U_SPACE, m, vec)
-                    calls.clear()
-                    assert verify_u_relation(m, big) is True
-                    # one prime first, then the primes of the norm bound
-                    (n, _, first), (n2, bits, pairs) = calls
-                    assert n == n2 == 2 * m and pairs[0] == first[0]
+                    n, _, left, right, units = norm_certificate.claim_sides(m, big)
+                    bits = norm_certificate.norm_bound(n, left, right, units)
                     assert _mean_log_bits(m, big) <= bits <= _mass(big) + 1
-                    assert prod(p for p, _ in pairs) > 2**bits
+                    evaluated.clear()
+                    assert norm_certificate.verify_by_norm(m, big) is True
+                    # the first prime, then the later ones in order, none twice,
+                    # as many as the bound asks for
+                    assert evaluated == split_primes(n, bits)
+                    assert prod(p for p, _ in evaluated) > 2**bits
 
     @pytest.mark.parametrize("n", [8, 54, 200])
     def test_root_tables(self, n):
@@ -199,7 +204,7 @@ class TestLogSineTable:
         saved, iv.prec = iv.prec, 128
         try:
             for n in range(8, 201):
-                table = cyclotomic._log_sine_table(n)
+                table = norm_certificate.log_sine_table(n)
                 assert len(table) == n and table[0] == 0
                 for r in range(1, n):
                     q = F(min(r, n - r), n)
@@ -214,7 +219,7 @@ class TestLogSineTable:
     @pytest.mark.parametrize("n", [8, 9, 12, 97, 194])
     def test_bounds_against_balls(self, n):
         ctx = balls.PrecisionContext(128)
-        table = cyclotomic._log_sine_table(n)
+        table = norm_certificate.log_sine_table(n)
         for r in range(1, n):
             ball = balls.log2_ball(balls.ball_mul_int(balls.sin_pi_rational(r, n, ctx), 2, ctx.wp), ctx)
             mid, rad = balls.mpf_to_fraction(ball.mid), balls.mpf_to_fraction(ball.rad)
@@ -251,6 +256,22 @@ class TestSineRatio:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             CycloFraction(cyclo_one(8), cyclo_element(8, [0]))
+
+
+def via_elements(m, form):
+    # the product of sine ratios, evaluated in dense Q(zeta_2m) arithmetic
+    _, exps = scaled_exponents(form)
+    n = 2 * m
+    lhs, rhs = cyclo_one(n), cyclo_one(n)
+    for k, e in exps.items():
+        ratio = sine_ratio_elem(m, k)
+        if e > 0:
+            lhs = cyclo_mul(lhs, cyclo_pow(ratio.num, e))
+            rhs = cyclo_mul(rhs, cyclo_pow(ratio.den, e))
+        else:
+            lhs = cyclo_mul(lhs, cyclo_pow(ratio.den, -e))
+            rhs = cyclo_mul(rhs, cyclo_pow(ratio.num, -e))
+    return lhs == rhs
 
 
 def _u_form(m, coeffs):
@@ -306,20 +327,6 @@ class TestVerify:
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_element_route(self, m, data):
         # independent route through CycloElement products
-        def via_elements(m, form):
-            _, exps = scaled_exponents(form)
-            n = 2 * m
-            lhs, rhs = cyclo_one(n), cyclo_one(n)
-            for k, e in exps.items():
-                ratio = sine_ratio_elem(m, k)
-                if e > 0:
-                    lhs = cyclo_mul(lhs, cyclo_pow(ratio.num, e))
-                    rhs = cyclo_mul(rhs, cyclo_pow(ratio.den, e))
-                else:
-                    lhs = cyclo_mul(lhs, cyclo_pow(ratio.den, -e))
-                    rhs = cyclo_mul(rhs, cyclo_pow(ratio.num, -e))
-            return lhs == rhs
-
         forms = u_basis(m).forms
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(forms), max_size=len(forms)))
         vec = [sum(c * f.coeffs[i] for c, f in zip(coeffs, forms)) for i in range(m // 2 - 1)]
@@ -361,6 +368,52 @@ def test_verdict_is_span_membership(m, data):
         vec[data.draw(st.integers(0, len(vec) - 1))] += data.draw(st.sampled_from((-1, 1)))
     in_span = rref(rows + (tuple(vec),)).rank == len(rows)
     assert verify_u_relation(m, LinearForm(U_SPACE, m, tuple(vec))) is in_span
+
+
+@lru_cache(maxsize=None)
+def _route_claims(m):
+    # seeded true claims, each with coefficients up to +-1000: the identity
+    # basis form of least mass, then combinations of the basis with
+    # multipliers up to a bound B log-uniform in 1..1000, redrawn while a
+    # coefficient exceeds 1000; each followed by a +-1 change of it
+    rng = random.Random(m)
+    rows = _identity_rows(m)
+    claims = [min(rows, key=lambda row: _mass(LinearForm(U_SPACE, m, row)))]
+    while len(claims) < 5:
+        bound = round(1000 ** rng.random())
+        coeffs = [rng.randint(-bound, bound) for _ in rows]
+        vec = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(len(rows[0]))]
+        if any(vec) and max(map(abs, vec)) <= 1000:
+            claims.append(vec)
+    out = []
+    for vec in claims:
+        bumped = list(vec)
+        bumped[rng.randrange(len(vec))] += rng.choice((-1, 1))
+        out += [(LinearForm(U_SPACE, m, tuple(vec)), True), (LinearForm(U_SPACE, m, tuple(bumped)), False)]
+    return out
+
+
+ROUTE_MODULI = [16, 27, 35, 60, 100, 210]
+
+
+@pytest.mark.parametrize("m", ROUTE_MODULI)
+def test_membership_agrees_with_the_norm_certificate(m):
+    # span membership against evaluation over the primes of the norm bound
+    # (`tests/norm_certificate.py`), and against dense Q(zeta_2m) arithmetic
+    # for the claims of mass up to 64 (the dense products grow with the mass)
+    assert euler_phi(2 * m) <= 4096
+    for form, truth in _route_claims(m):
+        assert verify_u_relation(m, form) is norm_certificate.verify_by_norm(m, form) is truth
+        if _mass(form) <= 64:
+            assert via_elements(m, form) is truth
+
+
+@pytest.mark.parametrize("m", ROUTE_MODULI)
+def test_split_prime_route_agrees_with_membership(no_span, m):
+    # with the span empty every claim is decided at split primes: a false
+    # one by a mismatch, a true one by agreement over M + 1 bits
+    for form, truth in _route_claims(m):
+        assert verify_u_relation(m, form) is truth
 
 
 @pytest.mark.parametrize("m", [12, 30])
@@ -418,7 +471,7 @@ def test_norm_bits_exact_at_any_exponent():
     # the point where an int64 sum could wrap
     n, units, cs = 54, [1, 5, 7, 11, 13, 17, 19, 23, 25], [2, 4, 10, 6, 8, 14]
     idx = np.outer(units, cs) % n
-    table = cyclotomic._log_sine_table(n)
+    table = norm_certificate.log_sine_table(n)
     big = [2**35, 7, 2**34, 1, 3, 2**33]  # partial sums near 2^62, still int64
     for exps in ([3, 1, 4, 1, 5, 9], big, [2**40, 7, 2**38, 1, 3, 2**39], [2**70, 1, 3**50, 2**69 + 1, 5, 10**9]):
         for nl in (2, 3):
@@ -427,8 +480,8 @@ def test_norm_bits_exact_at_any_exponent():
                 return sum(e * table[c * j % n] for c, e in zip(cs[lo:hi], exps[lo:hi]))
 
             total = sum(max(side(0, nl, j), side(nl, None, j)) for j in units)
-            expect = 1 - (-total // (len(units) << cyclotomic.LOG_UNIT_BITS))
-            assert cyclotomic._norm_bits(n, idx, exps, nl) == expect, (exps, nl)
+            expect = 1 - (-total // (len(units) << norm_certificate.LOG_UNIT_BITS))
+            assert norm_certificate.norm_bits(n, idx, exps, nl) == expect, (exps, nl)
 
 
 def test_identity_combinations_at_m100():
@@ -446,34 +499,42 @@ def test_identity_combinations_at_m100():
 
 @pytest.mark.parametrize("chunk", [1, 7, 500])
 def test_verdicts_do_not_depend_on_the_chunk(monkeypatch, chunk):
-    # chunks below one prime's roots split the roots; larger ones batch primes
+    # chunks below one prime's roots split the roots; larger ones batch
+    # primes.  The accept is also decided by the oracle's evaluation alone,
+    # over the several primes of its norm bound.
     monkeypatch.setattr(cyclotomic, "_CHUNK", chunk)
     forms = identity_u_basis(60).forms
     vec = [500 * sum(f.coeffs[i] for f in forms) + forms[0].coeffs[i] for i in range(29)]
-    assert verify_u_relation(60, LinearForm(U_SPACE, 60, tuple(vec))) is True
+    form = LinearForm(U_SPACE, 60, tuple(vec))
+    assert verify_u_relation(60, form) is norm_certificate.verify_by_norm(60, form) is True
     for i in (0, 13, 28):
         bumped = list(vec)
         bumped[i] += 1
         assert verify_u_relation(60, LinearForm(U_SPACE, 60, tuple(bumped))) is False
 
 
-def test_exponents_past_int64_in_the_array_pass(monkeypatch):
-    # z^e (1 - z)^e = 1 at n = 6, since 1 - z = z^-1 there; with the norm
-    # bound forced to one prime, the array pass must reduce e exactly
-    monkeypatch.setattr(cyclotomic, "_norm_bits", lambda *args: 1)
+def test_exponents_past_int64_in_the_array_pass():
+    # z^e (1 - z)^e = 1 at n = 6, since 1 - z = z^-1 there; with a bound of
+    # one bit, so one prime, the array pass must reduce e exactly
     for e in (2**70, 2**70 + 1, 10**30 + 7, 3**60):
-        assert cyclotomic._products_agree(6, e % 6, [(1, e)], [], [1]) is True
-        assert cyclotomic._products_agree(6, (e + 1) % 6, [(1, e)], [], [1]) is False
+        assert cyclotomic._products_agree(6, e % 6, [(1, e)], [], [1], 1) is True
+        assert cyclotomic._products_agree(6, (e + 1) % 6, [(1, e)], [], [1], 1) is False
 
 
 def test_claims_past_the_prime_pool_are_refused_at_once():
-    # a true claim with gcd-1 exponents near 10^9 at m = 27 needs about
-    # 5*10^8 bits, and z (1 - z) = 1 at n = 6 raised to 2^70 about 2^50; the
-    # split primes below 2^31 supply at most about 2*10^8 and 2*10^9
+    # a true claim with gcd-1 exponents near 10^9 at m = 27 lies in the
+    # identity span, so it is accepted with no prime at all, and every +-1
+    # change of it is refused by a mismatch; z (1 - z) = 1 at n = 6 raised
+    # to 2^70, given to the product check directly, needs M + 1 = 2^70 + 1
+    # bits, far more than the split primes below 2^31 supply (about 2*10^9)
     forms = u_basis(27).forms
-    vec = tuple(10**9 * c + d for c, d in zip(forms[0].coeffs, forms[1].coeffs))
-    with pytest.raises(cyclotomic.CertificateLimitError):
-        verify_u_relation(27, LinearForm(U_SPACE, 27, vec))
+    vec = [10**9 * c + d for c, d in zip(forms[0].coeffs, forms[1].coeffs)]
+    assert verify_u_relation(27, LinearForm(U_SPACE, 27, tuple(vec))) is True
+    for i in range(len(vec)):
+        for d in (-1, 1):
+            bumped = list(vec)
+            bumped[i] += d
+            assert verify_u_relation(27, LinearForm(U_SPACE, 27, tuple(bumped))) is False, (i, d)
     e = 2**70
     with pytest.raises(cyclotomic.CertificateLimitError):
         cyclotomic._products_agree(6, e % 6, [(1, e)], [], [1])
@@ -493,20 +554,18 @@ def test_a_mismatch_after_the_first_root_is_found(monkeypatch):
     # holds at the root j = 1 of that prime but not at j = 3, which a chunk
     # of one entry puts in a later pass
     monkeypatch.setattr(cyclotomic, "_CHUNK", 1)
-    monkeypatch.setattr(cyclotomic, "_norm_bits", lambda *args: 1)
     p, w = split_primes(10, 1)[0]
     e = _order(1 - pow(w, 2, p), p)
     assert pow(1 - pow(w, 6, p), e, p) != 1
-    assert cyclotomic._products_agree(10, 0, [(2, e)], [], [1, 3]) is False
+    assert cyclotomic._products_agree(10, 0, [(2, e)], [], [1, 3], 1) is False
 
 
 def test_a_mismatch_after_the_first_primes_is_found(monkeypatch):
     # (1 - z^2)^E = (1 - z)^E with E = lcm(p1 - 1, p2 - 1) holds at every
-    # root of the first two split primes by Fermat, and is false; a forced
-    # bound of 90 bits asks for three primes, and a chunk of one entry puts
-    # each prime after the first in its own pass, so the last pass refutes it
+    # root of the first two split primes by Fermat, and is false; a bound of
+    # 90 bits asks for three primes, and a chunk of one entry puts each prime
+    # after the first in its own pass, so the last pass refutes it
     monkeypatch.setattr(cyclotomic, "_CHUNK", 1)
-    monkeypatch.setattr(cyclotomic, "_norm_bits", lambda *args: 90)
     (p1, _), (p2, _) = split_primes(8, 60)
     e = lcm(p1 - 1, p2 - 1)
-    assert cyclotomic._products_agree(8, 0, [(2, e)], [(1, e)], [1, 3]) is False
+    assert cyclotomic._products_agree(8, 0, [(2, e)], [(1, e)], [1, 3], 90) is False

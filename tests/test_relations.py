@@ -21,6 +21,7 @@ from symfreq.relations import (
     c_set,
     hset,
     identity_rows,
+    identity_span,
     identity_u_basis,
     k_red,
     modulus_profile,
@@ -390,6 +391,20 @@ class TestIdentityBasis:
     def test_primes_empty(self):
         for m in (5, 7, 31):
             assert identity_u_basis(m).forms == ()
+
+    def test_span_membership_exact_at_any_size(self):
+        # scale * row 0 + row 1 is in the span and a +-1 move of weight from
+        # x_3 to x_4 is not, with entries on both sides of where the int64
+        # check gives way to Python ints
+        for m in (27, 60, 210):
+            span = identity_span(m)
+            rows = span.nums.tolist()
+            for k in range(0, 72, 3):
+                v = [(a << k) + b for a, b in zip(rows[0], rows[1])]
+                assert span.contains(v), (m, k)
+                v[2] += 1
+                v[3] -= 1
+                assert not span.contains(v), (m, k)
 
     def test_small_m_rejected(self):
         with pytest.raises(ValueError):

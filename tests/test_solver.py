@@ -214,6 +214,18 @@ class TestDiscovery:
         with pytest.raises(ValueError):
             discover_relations(12, 64)
 
+    # the moduli in 4..62 where discovery used to skip candidates of
+    # coefficient mass above 50000 as too costly to certify
+    HEAVY_MODULI = (23, 25, 29, 31, 33, 34, 35, 38, 39, 40, 44, 45, 46, 48, 50, 52, 54, 56, 60)
+
+    @pytest.mark.parametrize("m", HEAVY_MODULI)
+    def test_no_candidate_is_skipped_for_its_mass(self, m):
+        # every rank-increasing candidate goes to the certificate, whose
+        # cost does not grow with the coefficients, and t stays exact
+        rep = discover_relations(m)
+        assert not any("coefficient mass" in w for w in rep.warnings), rep.warnings
+        assert rep.empirical_t == expected_t(m)
+
 
 class TestOracleTables:
     def test_tables_match_fraction_oracle(self):
