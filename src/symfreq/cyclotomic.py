@@ -7,8 +7,9 @@ own proof:
 
 * True when the claim lies in the span of the cyclotomic identities
   (`relations.identity_span`): every identity is a theorem, so the claim
-  is one too.  Membership is one exact integer check per claim, and its
-  cost does not grow with the claim's coefficients.
+  is one too.  Membership is one exact integer product u C with the
+  modulus's check matrix C (`check_matrix`), and its cost does not grow
+  with the claim's coefficients.
 * False only with a witness.  Each ratio sin(pi*k/m)/sin(pi/m) is an
   element of the cyclotomic field of conductor 2m:
 
@@ -29,7 +30,7 @@ claim is True after all; by the completeness of the identities (Bass's
 theorem) this never happens.  The primes of one class in (2^30, 2^31) are
 finitely many, so a claim outside the span whose M + 1 bits need more of
 them raises `CertificateLimitError` instead of returning a verdict.  No
-floating point is involved.
+rounding is involved.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .intmath import divisors, euler_phi, factorize, is_prime
 from .linalg import LinearForm, U_SPACE
-from .relations import identity_span
+from .relations import identity_span, phi_coeffs
 
 # ----------------------------------------------------------------------
 # Integer polynomials and the cyclotomic polynomial
@@ -291,6 +292,32 @@ def _products_agree(n: int, twist: int, left, right, units, bits: int | None = N
 # Relation certificates
 
 
+@lru_cache(maxsize=None)
+def check_matrix(m: int) -> tuple[np.ndarray, int]:
+    """The integer check matrix C of the identity span at modulus m, and max|C|.
+
+    A claim u over U_2..U_m' has the S-coordinates s = u Phi, with Phi the
+    symmetric matrix min(i, j) of `relations.phi_coeffs`, and s lies in
+    `identity_span(m)` iff s A = 0 for its annihilator A: column j of A holds
+    -den in row f_j, the j-th free column, and nums[i][f_j] in row
+    pivots[i].  So u lies in the span iff u C = 0, with C = Phi A =
+    phi_coeffs(A^T)^T of shape (m' - 1, t).  C is int64 when its entries
+    fit and holds Python ints otherwise.  One C is cached per modulus.
+    """
+    span = identity_span(m)
+    free = span.free
+    try:
+        nums = np.array(span.nums, dtype=np.int64)
+    except OverflowError:
+        nums = np.array(span.nums, dtype=object)
+    annihilator = np.zeros((len(free), m // 2 - 1), dtype=nums.dtype)  # A^T
+    annihilator[np.arange(len(free)), free] = -span.den
+    annihilator[:, list(span.pivots)] = nums.reshape(len(span.pivots), m // 2 - 1)[:, free].T
+    check = np.ascontiguousarray(phi_coeffs(annihilator).T)
+    check.setflags(write=False)
+    return check, max(int(check.max()), -int(check.min()))
+
+
 def scaled_exponents(form: LinearForm) -> tuple[int, dict[int, int]]:
     """Clear denominators of a form: (lcm L, {index: integer coefficient})."""
     coeffs, first = form.coeffs, form.first_index
@@ -306,11 +333,12 @@ def verify_u_relation(m: int, form: LinearForm) -> bool:
     positive real, and a positive real whose g-th power is 1 is 1, so the
     relation holds iff sum_k e_k U_k = 0.
 
-    True: the claim is sum_k e_k (x_k - x_1) = 0 with x_a = log|1 - zeta_m^a|,
-    the vector v over x_1..x_m' with v[x_1] = -sum e_k and v[x_k] = e_k.
-    When v lies in the span of the cyclotomic identities
-    (`relations.identity_span`, checked exactly in integers), the claim is
-    a combination of theorems, so it holds; nothing is evaluated.
+    True: the claim is sum_k e_k (x_k - x_1) = 0 with x_a = log|1 - zeta_m^a|.
+    When its exponent vector u over U_2..U_m' has u C = 0, with C the check
+    matrix of `check_matrix`, the claim lies in the span of the cyclotomic
+    identities, a combination of theorems, so it holds; nothing is
+    evaluated.  The product runs in int64 when sum |e_k| max|C| < 2^62,
+    which bounds every entry and partial sum, and in Python ints otherwise.
 
     False: otherwise the claim is decided at split primes, and it is refuted
     only by a root where its two sides differ mod p.  With z = zeta_2m,
@@ -345,13 +373,14 @@ def verify_u_relation(m: int, form: LinearForm) -> bool:
         return True
     g = gcd(*exps.values())
     exps = {k: e // g for k, e in exps.items()}
-    total = sum(exps.values())
-    v = [0] * (m // 2)
-    v[0] = -total
+    check, cmax = check_matrix(m)
+    u = [0] * (m // 2 - 1)
     for k, e in exps.items():
-        v[k - 1] = e
-    if identity_span(m).contains(v):
+        u[k - 2] = e
+    dtype = np.int64 if sum(map(abs, u)) * cmax < 1 << 62 else object
+    if not (np.array(u, dtype=dtype) @ check.astype(dtype, copy=False)).any():
         return True
+    total = sum(exps.values())
     twist = sum(e * (1 - k) for k, e in exps.items()) % n
     left = [(2 * k, e) for k, e in exps.items() if e > 0]
     right = [(2 * k, -e) for k, e in exps.items() if e < 0]

@@ -343,10 +343,13 @@ def _verified(ints, mat, pivots, nums, dens) -> bool:
     """Whether R_i = nums_i / dens_i is in RREF shape and contains every row.
 
     The containment a = sum_i a[pivot_i] R_i is checked on the free columns
-    (the shape settles the pivot columns) as one integer identity per row:
-    after clearing the common denominator D, both sides are packed into
-    slots of W bits, which is exact since every entry of either side is
-    below 2^(W-1) in absolute value.
+    (the shape settles the pivot columns), after clearing the common
+    denominator D, with every entry and partial sum of either side below
+    2^(W-1) in absolute value.  When that bound is below 2^53 all rows are
+    checked at once as one float64 matrix identity, which is exact: every
+    product and every partial sum, in whatever order the matrix product
+    adds them, is an integer below 2^53.  Otherwise each row is one integer
+    identity, with both sides packed into slots of W bits.
     """
     rank, ncols = nums.shape
     if rank:
@@ -364,7 +367,12 @@ def _verified(ints, mat, pivots, nums, dens) -> bool:
     ]
     amax = max(int(mat.max(initial=0)), -int(mat.min(initial=0)))
     nmax = max((abs(x) for row in free_nums for x in row), default=0)
-    width = (common * amax + rank * amax * nmax).bit_length() // 8 + 1
+    bound = common * amax + rank * amax * nmax
+    if bound >> 53 == 0:
+        free_mat = np.array(free_nums, dtype=np.float64).reshape(rank, len(free))
+        lhs = (common * mat[:, free]).astype(np.float64)
+        return np.array_equal(lhs, mat[:, list(pivots)].astype(np.float64) @ free_mat)
+    width = bound.bit_length() // 8 + 1
     zero = bytes(width - 1) + b"\x80"  # 2^(W-1), the offset of each slot
     offsets = int.from_bytes(zero * len(free), "little")
     half = 1 << (8 * width - 1)

@@ -18,7 +18,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -94,10 +93,18 @@ def phi_coeffs(ucoeffs) -> np.ndarray:
     Maps the last axis, so a matrix of U-rows maps row by row:
     S_d = sum_k c_k min(k - 1, d), computed as the prefix sum of (k - 1) c_k
     up to k = d + 1 plus d times the suffix sum of c_k beyond it.  Fractions
-    stay exact (object arrays); an int64 array stays int64, and each output
-    entry is at most m' times the row's sum of |c_k|.
+    and Python ints stay exact (object arrays).  Each output entry is at most
+    m' times the row's sum of |c_k|; an int64 array stays int64 while that
+    bound is below 2^63, so that its wrapping ring arithmetic is exact, and
+    holds Python ints otherwise.
     """
     c = np.asarray(ucoeffs)
+    if c.dtype == np.int64 and c.size:
+        half = c.shape[-1] + 1
+        if half * (half - 1) * max(int(c.max()), -int(c.min())) >> 63:
+            l1 = max(sum(map(abs, row)) for row in c.reshape(-1, half - 1).tolist())
+            if half * l1 >> 63:
+                c = c.astype(object)
     weights = np.arange(1, c.shape[-1] + 1, dtype=object if c.dtype == object else np.int64)
     sums = np.cumsum(c, axis=-1)
     return np.cumsum(c * weights, axis=-1) + weights * (sums[..., -1:] - sums)
@@ -353,69 +360,63 @@ def identity_rows(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IdentitySpan:
-    """The identities among x_1..x_m' free of every log p, whose coefficients sum to 0.
+    """The relations among S_1..S_m'-1 that the identities span, as one RREF.
 
-    Row i of `nums` is den times the x-block of the row of
-    rref(identity_rows(m)) that pivots on x_(pivots[i] + 1), so
-    nums[i, pivots[i]] = den, the lcm of those rows' denominators.  The rows
-    pivoting on a log p or the sum column are left out: a vector v with
-    zeros there lies in the span of the identities iff
-    den v = sum_i v[pivots[i]] nums[i].  nums is int64 when its entries fit,
-    and holds Python ints otherwise.
+    Row i of `nums` is den times the S-block of the row of the RREF of the
+    identities (see `identity_span`) that pivots on S_(pivots[i] + 1), so
+    nums[i][pivots[i]] = den, the lcm of those rows' denominators, and
+    sum_j nums[i][j] S_(j+1) = 0 is a relation.  An integer vector s over
+    S_1..S_m'-1 lies in the span iff den s[f] = sum_i s[pivots[i]] nums[i][f]
+    at every free column f.
     """
 
-    pivots: np.ndarray
-    nums: np.ndarray
+    m: int
+    pivots: tuple[int, ...]
+    nums: list[list[int]]
     den: int
-    nmax: int
 
-    def contains(self, v: list[int]) -> bool:
-        """Whether the integer vector v over x_1..x_m' lies in the span, exactly.
-
-        Every entry of either side is at most max|v| (rank nmax + den) in
-        absolute value, so the check runs in int64 when that is below 2^62
-        and in Python ints otherwise.
-        """
-        vmax = max(map(abs, v))
-        dtype = np.int64 if vmax * (len(self.pivots) * self.nmax + self.den) < 1 << 62 else object
-        vec = np.array(v, dtype=dtype)
-        return bool(np.array_equal(self.den * vec, vec[self.pivots] @ self.nums.astype(dtype, copy=False)))
+    @property
+    def free(self) -> list[int]:
+        """The columns without a pivot, ascending: t of them."""
+        pivot_set = set(self.pivots)
+        return [j for j in range(self.m // 2 - 1) if j not in pivot_set]
 
 
-@lru_cache(maxsize=None)
 def identity_span(m: int) -> IdentitySpan:
-    """The span of `identity_rows(m)` in the x-coordinates, one elimination per m.
+    """The package's one elimination of `identity_rows(m)`, in S-coordinates.
 
-    Every identity row is a theorem (distribution or norm), so any vector in
-    this span is a true relation among the x_a, whatever the completeness
-    of the identities.
+    The x-block of the rows is rewritten as (sum of the x-coefficients,
+    S_1..S_m'-1), the sum being the column just before it.  As
+    c -> (sum c, phi(c_2..c_m')) is a bijection, the rows of the one RREF
+    that pivot in the S block are the RREF of the relations among the S_d
+    that the identities span.  Every identity is a theorem (distribution or
+    norm), so each of those relations is true, whatever the completeness of
+    the identities.  Nothing is cached: callers keep what they need.
     """
     rows = identity_rows(m)
     lead = rows.shape[1] - m // 2
-    ech = rref(rows)
+    ech = rref(np.hstack([rows[:, :lead], phi_coeffs(rows[:, lead + 1 :])]))
     keep = [i for i, c in enumerate(ech.pivots) if c >= lead]
     den = math.lcm(*(ech.dens[i] for i in keep))
-    ints = [[x * (den // ech.dens[i]) for x in ech.nums[i][lead:]] for i in keep]
-    nmax = max((abs(x) for row in ints for x in row), default=0)
-    nums = np.array(ints, dtype=np.int64 if nmax < 1 << 63 else object).reshape(len(ints), m // 2)
-    pivots = np.array([ech.pivots[i] - lead for i in keep], dtype=np.int64)
-    for a in (nums, pivots):
-        a.setflags(write=False)
-    return IdentitySpan(pivots, nums, den, nmax)
+    nums = []
+    for i in keep:
+        scale = den // ech.dens[i]
+        nums.append(ech.nums[i][lead:] if scale == 1 else [x * scale for x in ech.nums[i][lead:]])
+    return IdentitySpan(m, tuple(ech.pivots[i] - lead for i in keep), nums, den)
 
 
 def identity_u_basis(m: int) -> RelationBasis:
     """Basis of the relation space for any m >= 4, from cyclotomic identities.
 
-    The rows of `identity_span(m)` are a basis of the identities free of
-    every log p whose coefficients sum to 0.  With x_1 dropped, they are a
-    basis of the U-relation space (U_k = (x_k - x_1)/ln 2), complete, not
-    only sound, as the identities span every relation.  Each form is scaled
-    to coprime integer coefficients.
+    The rows of `identity_span(m)` are a basis of the S-relations the
+    identities span, mapped back to U-coordinates by `phi_inverse`.  They
+    are a basis of the U-relation space, complete, not only sound, as the
+    identities span every relation.  Each form is scaled to coprime integer
+    coefficients.
     """
     forms = []
-    for row in identity_span(m).nums.tolist():
-        ints = row[1:]
+    for row in identity_span(m).nums:
+        ints = [int(c) for c in phi_inverse(LinearForm(S_SPACE, m, tuple(row))).coeffs]
         g = math.gcd(*ints)
         forms.append(LinearForm(U_SPACE, m, tuple(x // g for x in ints)))
     return RelationBasis(m, U_SPACE, tuple(forms), "identities")

@@ -1,9 +1,9 @@
 """Relation-space linear algebra: elimination tables, dimensions, discovery.
 
 Elimination tables and the scan take their relations from the cyclotomic
-identities (`relations.identity_rows`), eliminated once, in integers, in the
-S-coordinates.  The identities are exact and complete, so the t they report
-is the dimension of the span, with no numerics involved.
+identities, eliminated once, in integers, in the S-coordinates
+(`relations.identity_span`).  The identities are exact and complete, so the
+t they report is the dimension of the span, with no numerics involved.
 
 Discovery (`discover_relations`, behind `symfreq discover`) is an
 independent numeric route to the same relation spaces.  It builds the
@@ -24,15 +24,13 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import frequencies
 from .balls import PrecisionContext, mpf_to_fraction
 from .cyclotomic import verify_u_relation
 from .intmath import euler_phi
 from .linalg import LinearForm, U_SPACE, format_terms, rat_to_str, rref, stack_forms
 from .lll import lll_reduce
-from .relations import CASE_PRIME, RelationBasis, identity_rows, modulus_profile, phi_coeffs
+from .relations import CASE_PRIME, RelationBasis, identity_span, modulus_profile
 
 
 # ----------------------------------------------------------------------
@@ -74,32 +72,23 @@ class ExpressionTable:
 
 
 def express_dependents(m: int) -> ExpressionTable:
-    """Eliminate the S-relations and express dependent S-values.
+    """Express the dependent S-values over the free ones.
 
-    The x-block of `identity_rows(m)` is rewritten as (sum of the
-    x-coefficients, S_1..S_{m'-1}), the sum being the column just before it.
-    As c -> (sum c, phi(c_2..c_m')) is a bijection, the rows of the one RREF
-    that pivot in the S block are the RREF of the S-relation space.  The
-    table is always produced from the actual pivots; trailing_ok flags
-    whether they were the leading columns.
+    Each row of `identity_span(m)`, the RREF of the S-relations, gives its
+    pivot S-value over the free columns.  The table is always produced from
+    the actual pivots; trailing_ok flags whether they were the leading
+    columns.
     """
     if m < 4:
         raise ValueError("expression tables need m >= 4")
-    half = m // 2
-    rows = identity_rows(m)
-    lead = rows.shape[1] - half
-    ech = rref(np.hstack([rows[:, :lead], phi_coeffs(rows[:, lead + 1 :])]))
-    s_pivots = [c for c in ech.pivots if c >= lead]
-    pivot_set = set(s_pivots)
-    free = [c for c in range(lead, lead + half - 1) if c not in pivot_set]
-    table = []
-    for pcol, nums, den in zip(ech.pivots, ech.nums, ech.dens):
-        if pcol >= lead:
-            coeffs = tuple((c - lead + 1, Fraction(-nums[c], den)) for c in free if nums[c])
-            table.append((pcol - lead + 1, coeffs))
-    rank = len(table)
-    trailing_ok = s_pivots == list(range(lead, lead + rank))
-    return ExpressionTable(m, half - 1 - rank, tuple(table), trailing_ok, "identities")
+    span = identity_span(m)
+    free = span.free
+    table = tuple(
+        (p + 1, tuple((j + 1, Fraction(-row[j], span.den)) for j in free if row[j]))
+        for p, row in zip(span.pivots, span.nums)
+    )
+    trailing_ok = span.pivots == tuple(range(len(table)))
+    return ExpressionTable(m, len(free), table, trailing_ok, "identities")
 
 
 # ----------------------------------------------------------------------

@@ -6,17 +6,16 @@ import pytest
 
 from symfreq import cyclotomic
 from symfreq.cli import main
-from symfreq.relations import IdentitySpan
 
 
 @pytest.fixture
 def no_span(monkeypatch):
-    """An empty identity span, so that `verify_u_relation` decides every claim at split primes."""
+    """A check matrix that accepts only u = 0, so that `verify_u_relation` decides every claim at split primes."""
 
-    def empty(m):
-        return IdentitySpan(np.zeros(0, np.int64), np.zeros((0, m // 2), np.int64), 1, 0)
+    def identity(m):
+        return np.eye(m // 2 - 1, dtype=np.int64), 1
 
-    monkeypatch.setattr(cyclotomic, "identity_span", empty)
+    monkeypatch.setattr(cyclotomic, "check_matrix", identity)
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from symfreq.cyclotomic import (
     split_primes,
     verify_u_relation,
 )
-from symfreq import balls, cyclotomic
+from symfreq import balls, cyclotomic, relations
 from symfreq.intmath import divisors, euler_phi, factorize, is_prime
 from symfreq.linalg import LinearForm, U_SPACE, rref
 from symfreq.relations import identity_u_basis, u_basis
@@ -337,10 +337,10 @@ class TestVerify:
         assert via_elements(m, pert) is verify_u_relation(m, pert) is False
 
     def test_multi_prime_accept(self):
-        # M far above one prime's 30 bits, and exponents with gcd 1, so
-        # acceptance needs many primes
+        # M far above one prime's 30 bits, and exponents with gcd 1, so an
+        # accept at split primes would need many primes
         forms = identity_u_basis(100).forms
-        vec = [64 * sum(f.coeffs[i] for f in forms) + forms[0].coeffs[i] for i in range(49)]
+        vec = [300 * sum(f.coeffs[i] for f in forms) + forms[0].coeffs[i] for i in range(49)]
         form = LinearForm(U_SPACE, 100, tuple(vec))
         assert _mass(form) > 100 * 61 and gcd(*(int(c) for c in vec)) == 1
         assert verify_u_relation(100, form) is True
@@ -414,6 +414,26 @@ def test_split_prime_route_agrees_with_membership(no_span, m):
     # one by a mismatch, a true one by agreement over M + 1 bits
     for form, truth in _route_claims(m):
         assert verify_u_relation(m, form) is truth
+
+
+def test_check_matrix_past_int64(monkeypatch):
+    # the same span with its rows and den scaled past int64 gives a check
+    # matrix in Python ints, and the same verdicts
+    real = relations.identity_span
+
+    def scaled(m):
+        span = real(m)
+        return relations.IdentitySpan(m, span.pivots, [[x << 70 for x in row] for row in span.nums], span.den << 70)
+
+    monkeypatch.setattr(cyclotomic, "identity_span", scaled)
+    monkeypatch.setattr(cyclotomic, "check_matrix", cyclotomic.check_matrix.__wrapped__)
+    for m in (27, 60):
+        assert cyclotomic.check_matrix(m)[0].dtype == object
+        for form in identity_u_basis(m).forms:
+            assert verify_u_relation(m, form) is True
+            bumped = list(form.coeffs)
+            bumped[0] += 1
+            assert verify_u_relation(m, LinearForm(U_SPACE, m, tuple(bumped))) is False
 
 
 @pytest.mark.parametrize("m", [12, 30])

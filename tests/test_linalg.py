@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -272,6 +273,19 @@ class TestModularRref:
         monkeypatch.setattr(linalg, "_echelon_mod", corrupt)
         with pytest.raises(ArithmeticError):
             rref([[1, 0, 1], [0, 1, 1]])
+
+    def test_containment_refused_in_floats_and_in_packed_ints(self):
+        # an echelon form off by one in a free column is refused, whether the
+        # containment check runs in float64, exact below 2^53, or in packed
+        # Python ints; at u = 2^55 + 1 float64 rounds 3u + 5 and 3u + 6 to
+        # the same value, so only the packed check sees the difference
+        for u in (7, 2**55 + 1, 2**70):
+            rows = [[1, 0, 3], [u, 1, 3 * u + 5]]
+            mat = np.array(rows, dtype=np.int64 if u < 2**60 else object)
+            nums, dens = np.array([[1, 0, 3], [0, 1, 5]], dtype=object), np.array([1, 1], dtype=object)
+            assert linalg._verified(rows, mat, (0, 1), nums, dens)
+            nums[1, 2] += 1
+            assert not linalg._verified(rows, mat, (0, 1), nums, dens), u
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from closed_form import closed_form_count
 from symfreq.balls import PrecisionContext
-from symfreq.cyclotomic import verify_u_relation
+from symfreq.cyclotomic import check_matrix, verify_u_relation
 from symfreq.frequencies import evaluate_form
 from symfreq.linalg import LinearForm, S_SPACE, U_SPACE, rref, stack_forms
 from symfreq.relations import (
@@ -21,7 +21,6 @@ from symfreq.relations import (
     c_set,
     hset,
     identity_rows,
-    identity_span,
     identity_u_basis,
     k_red,
     modulus_profile,
@@ -136,6 +135,20 @@ class TestPhi:
             [sum(c * min(k - 1, d) for k, c in enumerate(r, start=2)) for d in range(1, n + 1)]
             for r in rows
         ]
+
+    def test_int_matrix_promoted_past_int64(self):
+        # m' (row l1) below 2^63 stays int64 and exact; from 2^63 on the
+        # rows map in Python ints, where int64 would wrap
+        def exact(row):
+            return [sum(c * min(k - 1, d) for k, c in enumerate(row, start=2)) for d in range(1, len(row) + 1)]
+
+        for rows in ([[2**61 - 1, 0, 0]], [[2**59, -(2**59), 2**60 - 1], [1, 2, 3]], [[2**60, 0, -(2**60) + 1]]):
+            out = phi_coeffs(np.array(rows, dtype=np.int64))
+            assert out.dtype == np.int64 and out.tolist() == [exact(r) for r in rows], rows
+        for rows in ([[2**61] * 3], [[2**61, 0, 0]], [[2**59, -(2**59), 2**60], [1, 2, 3]]):
+            out = phi_coeffs(np.array(rows, dtype=np.int64))
+            assert out.dtype == object and out.tolist() == [exact(r) for r in rows], rows
+        assert phi_coeffs(np.array([[2**61] * 3])).tolist() == [[3 * 2**61, 5 * 2**61, 6 * 2**61]]
 
 
 class TestPrimePowerBasis:
@@ -393,18 +406,21 @@ class TestIdentityBasis:
             assert identity_u_basis(m).forms == ()
 
     def test_span_membership_exact_at_any_size(self):
-        # scale * row 0 + row 1 is in the span and a +-1 move of weight from
-        # x_3 to x_4 is not, with entries on both sides of where the int64
-        # check gives way to Python ints
+        # scale * row 0 + row 1 of the identity basis is in the span and a
+        # +-1 move of weight from U_3 to U_4 is not, with entries on both
+        # sides of where the int64 check u C = 0 gives way to Python ints
         for m in (27, 60, 210):
-            span = identity_span(m)
-            rows = span.nums.tolist()
+            cmax = check_matrix(m)[1]
+            rows = [[int(c) for c in f.coeffs] for f in identity_u_basis(m).forms]
+            in_int64 = set()
             for k in range(0, 72, 3):
-                v = [(a << k) + b for a, b in zip(rows[0], rows[1])]
-                assert span.contains(v), (m, k)
-                v[2] += 1
-                v[3] -= 1
-                assert not span.contains(v), (m, k)
+                u = [(a << k) + b for a, b in zip(rows[0], rows[1])]
+                in_int64.add(sum(map(abs, u)) // gcd(*u) * cmax < 1 << 62)
+                assert verify_u_relation(m, u_form(m, dict(enumerate(u, start=2)))), (m, k)
+                u[1] += 1
+                u[2] -= 1
+                assert not verify_u_relation(m, u_form(m, dict(enumerate(u, start=2)))), (m, k)
+            assert in_int64 == {True, False}, m
 
     def test_small_m_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,10 +8,10 @@ from form_ops import form_add, form_scale
 from fraction_rref import fraction_rref
 from symfreq.balls import PrecisionContext
 from symfreq.intmath import euler_phi, factorize, is_prime
-from symfreq.cyclotomic import verify_u_relation
+from symfreq.cyclotomic import scaled_exponents, verify_u_relation
 from symfreq.frequencies import evaluate_form
 from symfreq.linalg import LinearForm, S_SPACE, U_SPACE, rref, stack_forms
-from symfreq import solver
+from symfreq import cyclotomic, relations, solver
 from symfreq.relations import (
     UnsupportedModulus,
     identity_u_basis,
@@ -127,6 +128,21 @@ class TestExpress:
         text = express_dependents(32).render_text()
         assert text.splitlines()[3] == "S4 = S8 + 2*S9"
         assert text.splitlines()[6] == "S7 = S14 + 2*S15"
+
+    def test_rows_certified_to_120(self):
+        # the two readers of the one elimination check each other: each row,
+        # as the S-relation -S_d + sum_j c_j S_j, passes the certificate's
+        # check matrix, and a +-1 change on one coefficient of its integer
+        # U-form is refused
+        rng = random.Random(120)
+        for m in range(4, 121):
+            for d, coeffs in express_dependents(m).rows:
+                uform = phi_inverse(LinearForm.from_map(S_SPACE, m, {d: F(-1), **dict(coeffs)}))
+                assert verify_u_relation(m, uform), (m, d)
+                exps = scaled_exponents(uform)[1]
+                ints = [exps.get(k, 0) for k in range(2, m // 2 + 1)]
+                ints[rng.randrange(len(ints))] += rng.choice((-1, 1))
+                assert not verify_u_relation(m, LinearForm(U_SPACE, m, tuple(ints))), (m, d)
 
     def test_discovered_fallback(self):
         # outside the covered shapes the relations come from the identity
@@ -315,6 +331,13 @@ class TestScan:
         ]
         assert express_dependents(24).method == "identities"
         assert scan_range(36, 36)[0].match
+
+    def test_scan_keeps_no_per_modulus_state(self):
+        # every scan op eliminates afresh; it fills no certificate cache
+        assert not hasattr(relations.identity_span, "cache_info")
+        before = cyclotomic.check_matrix.cache_info().currsize
+        scan_range(4, 120)
+        assert cyclotomic.check_matrix.cache_info().currsize == before
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
