@@ -20,23 +20,31 @@ own proof:
   product in Z[z].  For a prime p = 1 (mod 2m) and an element w of order
   2m in F_p, each map z -> w^j with j a unit mod 2m is a ring homomorphism
   Z[z] -> F_p, so a root where the two sides differ mod p disproves the
-  claim.  Every root, factor and prime is evaluated in int64 numpy passes
-  (a product of two residues stays below 2^62), after one scalar root of
-  the first prime that stops most false claims.
+  claim.  The witness is sought in this order:
+
+  1. a power-residue character at the least split prime q
+     (`character_matrix`): a nonzero entry of u X mod 2m, one integer
+     product, is a root where A/B is not 1 mod q;
+  2. the split primes below 2^31, only for a claim on which every
+     character vanishes: every root, factor and prime is evaluated in
+     int64 numpy passes (a product of two residues stays below 2^62),
+     after one scalar root of the first prime;
+  3. `CertificateLimitError`, below.
 
 If no root differs over primes whose product exceeds 2^(M+1), M the number
 of factors on the larger side, the norm argument proves A = B and the
 claim is True after all; by the completeness of the identities (Bass's
 theorem) this never happens.  The primes of one class in (2^30, 2^31) are
-finitely many, so a claim outside the span whose M + 1 bits need more of
-them raises `CertificateLimitError` instead of returning a verdict.  No
-rounding is involved.
+finitely many, so a claim outside the span on which every character
+vanishes, whose first split prime agrees and whose M + 1 bits need more of
+those primes, raises `CertificateLimitError` instead of returning a
+verdict.  No rounding is involved.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -289,6 +297,57 @@ def _products_agree(n: int, twist: int, left, right, units, bits: int | None = N
 
 
 # ----------------------------------------------------------------------
+# Power-residue characters at the least split prime
+
+#: Roots z -> w^j of the character table, the first units j below m.  A
+#: claim off the span goes on to the split primes only when its character
+#: is 0 mod n at every root: of the 3330 perturbed claims of the
+#: benchmark's `certify` seeds 1-3, 5 did with one root and none with two,
+#: and each further root widens every refusal's product and the table.
+CHARACTER_ROOTS = 2
+
+
+@lru_cache(maxsize=None)
+def character_matrix(m: int) -> np.ndarray:
+    """Power-residue characters of the sine ratios at the least split prime.
+
+    With n = 2m, q the least prime = 1 (mod n) and w of order n mod q,
+    chi(v) = dlog_w(v^((q-1)/n)) is a homomorphism F_q^* -> Z/n.  Row k - 2,
+    column i holds chi(ratio_k(w^j)) for the i-th of the first
+    `CHARACTER_ROOTS` units j < m, with ratio_k = z^(1-k) (1 - z^(2k)) /
+    (1 - z^2) as in `verify_u_relation`:
+
+        X[k, j] = ((1-k) j chi(w) + D[2kj mod n] - D[2j mod n]) mod n,   D[r] = chi(1 - w^r).
+
+    No 1 - w^(2kj) vanishes, as m divides no kj.  A relation
+    prod ratio_k^(u_k) = 1 gives u X = 0 (mod n), so a nonzero entry of
+    u X mod n is a root z -> w^j where the two sides of the claim differ
+    mod q.  One table of shape (m' - 1, `CHARACTER_ROOTS`) is cached per
+    modulus; every m >= 4 has at least two units below m.
+    """
+    n = 2 * m
+    q = n + 1
+    while not is_prime(q):
+        q += n
+    w = _root_of_unity(n, q)
+    cofactor = (q - 1) // n
+    powers = [1] * n
+    for r in range(1, n):
+        powers[r] = powers[r - 1] * w % q
+    dlog = {v: r for r, v in enumerate(powers)}
+    # D at even r only, the only positions the table reads
+    logs = np.zeros(n, dtype=np.int64)
+    logs[2::2] = [dlog[pow(1 - v, cofactor, q)] for v in powers[2::2]]
+    units = [j for j in range(1, m) if gcd(j, n) == 1][:CHARACTER_ROOTS]
+    k = np.arange(2, m // 2 + 1, dtype=np.int64)[:, None]
+    j = np.array(units, dtype=np.int64)
+    # chi(w) = (q - 1)/n mod n
+    table = ((1 - k) * j * (cofactor % n) + logs[2 * k * j % n] - logs[2 * j % n]) % n
+    table.setflags(write=False)
+    return table
+
+
+# ----------------------------------------------------------------------
 # Relation certificates
 
 
@@ -320,30 +379,27 @@ def check_matrix(m: int) -> tuple[np.ndarray, int]:
 
 def scaled_exponents(form: LinearForm) -> tuple[int, dict[int, int]]:
     """Clear denominators of a form: (lcm L, {index: integer coefficient})."""
-    coeffs, first = form.coeffs, form.first_index
-    scale = lcm(*{c.denominator for c in coeffs})
-    return scale, {first + i: c.numerator * (scale // c.denominator) for i, c in enumerate(coeffs) if c.numerator}
+    scale, ints = form.integer_coeffs()
+    return scale, {k: e for k, e in enumerate(ints, start=form.first_index) if e}
 
 
 def verify_u_relation(m: int, form: LinearForm) -> bool:
     """Exact certificate for a claimed relation among the m-modulus log-sine values.
 
     The coefficients are scaled by the lcm of their denominators to integers,
-    then divided by the gcd g of those, giving e_k; each ratio_k is a
-    positive real, and a positive real whose g-th power is 1 is 1, so the
-    relation holds iff sum_k e_k U_k = 0.
+    then divided by the gcd g of those, giving the vector u of e_k over
+    U_2..U_m'; each ratio_k is a positive real, and a positive real whose
+    g-th power is 1 is 1, so the relation holds iff sum_k e_k U_k = 0.
 
     True: the claim is sum_k e_k (x_k - x_1) = 0 with x_a = log|1 - zeta_m^a|.
-    When its exponent vector u over U_2..U_m' has u C = 0, with C the check
-    matrix of `check_matrix`, the claim lies in the span of the cyclotomic
-    identities, a combination of theorems, so it holds; nothing is
-    evaluated.  The product runs in int64 when sum |e_k| max|C| < 2^62,
-    which bounds every entry and partial sum, and in Python ints otherwise.
+    When u C = 0, with C the check matrix of `check_matrix`, the claim lies
+    in the span of the cyclotomic identities, a combination of theorems, so
+    it holds; nothing is evaluated.
 
-    False: otherwise the claim is decided at split primes, and it is refuted
-    only by a root where its two sides differ mod p.  With z = zeta_2m,
-    n = 2m, S = sum e_k and ratio_k = z^(1-k) (1 - z^(2k)) / (1 - z^2), the
-    claim is the identity A = B between
+    False: otherwise the claim is refuted only by a root where its two
+    sides differ mod a split prime.  With z = zeta_2m, n = 2m, S = sum e_k
+    and ratio_k = z^(1-k) (1 - z^(2k)) / (1 - z^2), the claim is the
+    identity A = B between
 
         A = z^(sum e_k (1-k)) * prod_{e_k>0} (1 - z^(2k))^(e_k) * (1 - z^2)^max(-S, 0),
         B = prod_{e_k<0} (1 - z^(2k))^(-e_k) * (1 - z^2)^max(S, 0),
@@ -351,36 +407,45 @@ def verify_u_relation(m: int, form: LinearForm) -> bool:
     each a product of M = max(sum of positive e_k, sum of |negative e_k|)
     factors 1 - z^c, c = 2k with 1 <= k <= m/2, times a root of unity.  No
     factor vanishes under an embedding z -> zeta_n^j: c j = 0 (mod n) would
-    make m divide k j, hence k, as j is a unit.  Only the j in (Z/n)^* with
-    j < m are checked.  That suffices because A/B is real: up to one root
-    of unity common to A and B, both are products of M binomials
+    make m divide k j, hence k, as j is a unit.  First, a nonzero entry of
+    u X mod n, X the power-residue characters of `character_matrix`, is a
+    root z -> w^j at the least split prime q where A/B is not 1 mod q.
+    Only a claim on which every character vanishes goes on to the split
+    primes below 2^31 of `_products_agree`, at the j in (Z/n)^* with
+    j < m.  That half of the roots suffices because A/B is real: up to one
+    root of unity common to A and B, both are products of M binomials
     z^(1-k) - z^(1+k) and 1 - z^2, each z^a - z^b with a + b = 2 (mod n),
     which complex conjugation sends to -z^(-2) times itself.  So
     conjugation maps A - B to a root of unity times A - B.  If the primes
     covering M + 1 bits all agree, the norm argument of `_products_agree`
     proves A = B and the claim is True after all.  By the completeness of
     the identities (Bass's theorem, see `relations.identity_rows`) that
-    never happens, but neither verdict rests on it.  Returns True iff the
-    relation is exactly valid.
+    never happens, but neither verdict rests on it.
+
+    Both products u C and u X run in int64 when sum |e_k| max(max|C|, n)
+    < 2^62, which bounds every entry and partial sum, and in Python ints
+    otherwise.  Returns True iff the relation is exactly valid.
     """
     if form.space != U_SPACE:
         raise ValueError("verify_u_relation expects a U-space form")
     if form.m != m:
         raise ValueError(f"form has modulus {form.m}, expected {m}")
     n = 2 * m
-    _, exps = scaled_exponents(form)
-    if not exps:
+    u = form.integer_coeffs()[1]
+    g = gcd(*u)
+    if not g:
         return True
-    g = gcd(*exps.values())
-    exps = {k: e // g for k, e in exps.items()}
+    if g > 1:
+        u = [e // g for e in u]
     check, cmax = check_matrix(m)
-    u = [0] * (m // 2 - 1)
-    for k, e in exps.items():
-        u[k - 2] = e
-    dtype = np.int64 if sum(map(abs, u)) * cmax < 1 << 62 else object
-    if not (np.array(u, dtype=dtype) @ check.astype(dtype, copy=False)).any():
+    dtype = np.int64 if sum(map(abs, u)) * max(cmax, n) < 1 << 62 else object
+    vec = np.array(u, dtype=dtype)
+    if not (vec @ check.astype(dtype, copy=False)).any():
         return True
-    total = sum(exps.values())
+    if (vec @ character_matrix(m).astype(dtype, copy=False) % n).any():
+        return False
+    exps = {k: e for k, e in enumerate(u, start=2) if e}
+    total = sum(u)
     twist = sum(e * (1 - k) for k, e in exps.items()) % n
     left = [(2 * k, e) for k, e in exps.items() if e > 0]
     right = [(2 * k, -e) for k, e in exps.items() if e < 0]

@@ -69,7 +69,7 @@ class LinearForm:
         if self.m < 4:
             raise ValueError("linear forms need a modulus m >= 4")
         expected = self.m // 2 - 1
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         if len(coeffs) != expected:
             raise ValueError(
                 f"space {self.space} at m={self.m} needs {expected} coefficients, "
@@ -107,7 +107,8 @@ class LinearForm:
                     f"index {idx} out of range {first}..{first + len(vec) - 1} "
                     f"for space {space} at m={m}"
                 )
-            vec[idx - first] += Fraction(c)
+            c, i = Fraction(c), idx - first
+            vec[i] = vec[i] + c if vec[i] else c  # adding to Fraction(0) is slow
         return cls(space, m, tuple(vec))
 
     def coeff(self, index: int) -> Fraction:
@@ -122,6 +123,12 @@ class LinearForm:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    def integer_coeffs(self) -> tuple[int, tuple[int, ...]]:
+        """(L, the coefficients times L), L the lcm of their denominators."""
+        nums, dens = zip(*map(Fraction.as_integer_ratio, self.coeffs))
+        scale = math.lcm(*dens)
+        return scale, nums if scale == 1 else tuple(e * (scale // d) for e, d in zip(nums, dens))
 
 
 def form_to_json(form: LinearForm, provenance: str | None = None) -> dict:

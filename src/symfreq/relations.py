@@ -114,22 +114,24 @@ def phi_inverse(sform: LinearForm) -> LinearForm:
     """Preimage of an S-space form under the change of coordinates.
 
     Substitutes X_d -> 2Y_{d+1} - Y_d - Y_{d+2} for d <= m'-2 and
-    X_{m'-1} -> Y_{m'} - Y_{m'-1}; Y_1 vanishes.
+    X_{m'-1} -> Y_{m'} - Y_{m'-1}; Y_1 vanishes.  The substitution runs on
+    the integer numerators over the lcm of the denominators.
     """
     if sform.space != S_SPACE:
         raise ValueError("phi_inverse expects an S-space form")
     m = sform.m
     half = m // 2
-    acc: dict[int, Fraction] = defaultdict(Fraction)
-    for d, c in sform.items():
-        if d == half - 1:
-            acc[half] += c
-            acc[half - 1] -= c
-        else:
-            acc[d + 1] += 2 * c
-            acc[d] -= c
-            acc[d + 2] -= c
-    return LinearForm.from_map(U_SPACE, m, acc)
+    scale, x = sform.integer_coeffs()
+    y = [0] * (half + 1)  # y[k] is the coefficient of Y_k
+    for d, c in enumerate(x[:-1], start=1):
+        if c:
+            y[d] -= c
+            y[d + 1] += 2 * c
+            y[d + 2] -= c
+    y[half - 1] -= x[-1]
+    y[half] += x[-1]
+    zero = Fraction(0)
+    return LinearForm(U_SPACE, m, tuple(Fraction(c, scale) if c else zero for c in y[2:]))
 
 
 # ----------------------------------------------------------------------

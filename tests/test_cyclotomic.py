@@ -416,6 +416,83 @@ def test_split_prime_route_agrees_with_membership(no_span, m):
         assert verify_u_relation(m, form) is truth
 
 
+def _reference_characters(m, roots):
+    # chi(ratio_k(w^j)) from the definition, at the least prime q = 1 (mod n)
+    # and the w of order n that the smallest base gives: ratio_k(w^j) =
+    # w^((1-k)j) (1 - w^(2kj)) / (1 - w^(2j)) in F_q, raised to (q-1)/n and
+    # looked up among the powers of w
+    n = 2 * m
+    q = next(q for q in range(n + 1, n * n * n, n) if is_prime(q))
+    for x in range(2, q):
+        w = pow(x, (q - 1) // n, q)
+        if next(e for e in range(1, n + 1) if pow(w, e, q) == 1) == n:
+            break
+    units = [j for j in range(1, m) if gcd(j, n) == 1][:roots]
+    out = []
+    for k in range(2, m // 2 + 1):
+        row = []
+        for j in units:
+            v = pow(w, (1 - k) * j, q) * (1 - pow(w, 2 * k * j, q)) * pow(1 - pow(w, 2 * j, q), -1, q) % q
+            row.append(next(e for e in range(n) if pow(w, e, q) == pow(v, (q - 1) // n, q)))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("m", [4, 12, 27, 42, 105])
+def test_character_matrix_matches_definition(m):
+    table = cyclotomic.character_matrix(m)
+    assert table.tolist() == _reference_characters(m, cyclotomic.CHARACTER_ROOTS)
+
+
+@pytest.mark.parametrize("m", [12, 42, 60, 100, 105, 210, 300])
+def test_characters_vanish_on_the_identities(m):
+    # independent of the check matrix: every identity-basis row is a
+    # relation, so each of its characters is 0 mod n
+    table = cyclotomic.character_matrix(m)
+    assert table.shape[1] == cyclotomic.CHARACTER_ROOTS
+    for row in _identity_rows(m):
+        assert not (np.array(row, dtype=object) @ table % (2 * m)).any()
+
+
+@pytest.mark.parametrize("m", ROUTE_MODULI)
+def test_characters_refute_every_false_route_claim(monkeypatch, m):
+    # with the split primes out of reach every false claim must be refused
+    # by a character; `test_split_prime_route_agrees_with_membership` refuses
+    # the same claims by a mismatch at split primes
+    def unreachable(*args):
+        raise AssertionError("a false claim escaped every character")
+
+    monkeypatch.setattr(cyclotomic, "_products_agree", unreachable)
+    for form, truth in _route_claims(m):
+        assert verify_u_relation(m, form) is truth
+
+
+def test_claims_with_every_character_zero_reach_the_split_primes(monkeypatch):
+    # a table of zeros refutes nothing: the false claims then get their
+    # verdict from a mismatch at a split prime
+    verdicts = []
+    real = cyclotomic._products_agree
+
+    def spy(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    def zeros(m):
+        return np.zeros((m // 2 - 1, cyclotomic.CHARACTER_ROOTS), dtype=np.int64)
+
+    monkeypatch.setattr(cyclotomic, "_products_agree", spy)
+    monkeypatch.setattr(cyclotomic, "character_matrix", zeros)
+    for m in (27, 60):
+        for form, truth in _route_claims(m):
+            assert verify_u_relation(m, form) is truth
+    assert verdicts == [False] * 10
+
+
+def test_character_matrix_grows_with_m_only():
+    # one row per U_k and a fixed number of roots, not phi(2m) columns
+    assert cyclotomic.character_matrix(4106).shape == (2052, cyclotomic.CHARACTER_ROOTS)
+
+
 def test_check_matrix_past_int64(monkeypatch):
     # the same span with its rows and den scaled past int64 gives a check
     # matrix in Python ints, and the same verdicts

@@ -124,6 +124,23 @@ class TestPhi:
 
     @given(st.integers(min_value=4, max_value=40), st.data())
     @settings(max_examples=60, deadline=None)
+    def test_inverse_matches_the_substitution(self, m, data):
+        # reference: the substitution term by term, in Fractions
+        n = m // 2 - 1
+        coeffs = data.draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=n, max_size=n))
+        ref = [F(0)] * (n + 3)  # ref[k] is the coefficient of Y_k
+        for d, c in enumerate(coeffs, start=1):
+            if d == n:
+                ref[d + 1] += c
+                ref[d] -= c
+            else:
+                ref[d + 1] += 2 * c
+                ref[d] -= c
+                ref[d + 2] -= c
+        assert phi_inverse(LinearForm(S_SPACE, m, tuple(coeffs))).coeffs == tuple(ref[2 : n + 2])
+
+    @given(st.integers(min_value=4, max_value=40), st.data())
+    @settings(max_examples=60, deadline=None)
     def test_int_matrix_matches_definition(self, m, data):
         # an int64 matrix maps row by row, in int64: S_d = sum_k c_k min(k - 1, d)
         n = m // 2 - 1
@@ -408,9 +425,9 @@ class TestIdentityBasis:
     def test_span_membership_exact_at_any_size(self):
         # scale * row 0 + row 1 of the identity basis is in the span and a
         # +-1 move of weight from U_3 to U_4 is not, with entries on both
-        # sides of where the int64 check u C = 0 gives way to Python ints
+        # sides of where the int64 products u C and u X give way to Python ints
         for m in (27, 60, 210):
-            cmax = check_matrix(m)[1]
+            cmax = max(check_matrix(m)[1], 2 * m)
             rows = [[int(c) for c in f.coeffs] for f in identity_u_basis(m).forms]
             in_int64 = set()
             for k in range(0, 72, 3):
