@@ -33,7 +33,23 @@ def rat_to_str(q: Fraction) -> str:
     return str(Fraction(q))
 
 
+def _is_digits(s: str) -> bool:
+    return s.isascii() and s.isdigit()
+
+
 def rat_from_str(s: str) -> Fraction:
+    """The rational of a wire string, as Fraction(s.strip()) gives it.
+
+    The wire forms "p" and "p/q", an optional sign and ASCII digits, are
+    read with int alone, past Fraction's regular expression; every other
+    string goes to Fraction.  A zero q raises ZeroDivisionError either way.
+    """
+    num, slash, den = s.partition("/")
+    if _is_digits(num[1:] if num[:1] in ("+", "-") else num):
+        if not slash:
+            return Fraction(int(num))
+        if _is_digits(den):
+            return Fraction(int(num), int(den))
     return Fraction(s.strip())
 
 

@@ -21,16 +21,17 @@ from cyclo_oracle import (
     zeta,
 )
 import norm_certificate
+from identity_annihilator import identity_annihilator
 from symfreq.cyclotomic import (
     cyclotomic_poly,
     scaled_exponents,
     split_primes,
     verify_u_relation,
 )
-from symfreq import balls, cyclotomic, relations
+from symfreq import balls, cyclotomic, linalg
 from symfreq.intmath import divisors, euler_phi, factorize, is_prime
 from symfreq.linalg import LinearForm, U_SPACE, rref
-from symfreq.relations import identity_u_basis, u_basis
+from symfreq.relations import identity_u_basis, two_p_u_basis, u_basis
 
 
 class TestCyclotomicPoly:
@@ -493,17 +494,55 @@ def test_character_matrix_grows_with_m_only():
     assert cyclotomic.character_matrix(4106).shape == (2052, cyclotomic.CHARACTER_ROOTS)
 
 
+@pytest.mark.parametrize("m", [*range(4, 301), 990])
+def test_check_matrix_has_the_kernel_of_the_identity_span(m):
+    # the closed-form table against the annihilator of the one elimination
+    # of the identities: both have t columns, t the scan's count, and rank
+    # t together, so u C = 0 exactly when u lies in the identity span
+    oracle = identity_annihilator(m)
+    check, cmax = cyclotomic.check_matrix(m)
+    t = oracle.shape[1]
+    formula = (m - 3) // 2 if is_prime(m) else euler_phi(m) // 2 - 1 + len(factorize(m))
+    assert check.shape == (m // 2 - 1, t) and t == formula
+    assert cmax == int(abs(check).max())
+    assert rref(check.T.tolist()).rank == t
+    assert rref(np.hstack([oracle.astype(object), check.astype(object)]).T.tolist()).rank == t
+
+
+def test_check_matrix_kernel_at_4106_is_the_two_p_basis():
+    # the constructed basis of m = 2 * 2053 lies in the kernel of C, and C
+    # has full column rank and the basis full row rank mod a prime, so the
+    # kernel is its span: no elimination of the identities at this size
+    rows = np.array([[int(c) for c in f.coeffs] for f in two_p_u_basis(2053).forms], dtype=np.int64)
+    check, _ = cyclotomic.check_matrix(4106)
+    assert check.shape == (2052, 2052 - len(rows))
+    # |entries| <= 2 * 2052 * 4104 < 2^53, so the float product is exact
+    assert not (rows.astype(float) @ check.astype(float)).any()
+    p = 2**31 - 1
+    for mat in (check.T, rows):
+        assert len(linalg._echelon_mod(np.ascontiguousarray(mat) % p, p)[0]) == min(mat.shape)
+    # verdicts on seeded combinations of the basis, and on +-1 changes
+    rng = random.Random(4106)
+    for _ in range(4):
+        picks = rng.sample(range(len(rows)), 6)
+        vec = sum(rng.choice((-3, -2, -1, 1, 2, 3)) * rows[i] for i in picks).tolist()
+        assert verify_u_relation(4106, LinearForm(U_SPACE, 4106, tuple(vec))) is True
+        for d in (-1, 1):
+            bumped = list(vec)
+            bumped[rng.randrange(len(vec))] += d
+            assert verify_u_relation(4106, LinearForm(U_SPACE, 4106, tuple(bumped))) is False
+
+
 def test_check_matrix_past_int64(monkeypatch):
-    # the same span with its rows and den scaled past int64 gives a check
-    # matrix in Python ints, and the same verdicts
-    real = relations.identity_span
+    # the same table scaled past int64 gives a check matrix in Python ints,
+    # and the same verdicts
+    real = cyclotomic.check_matrix
 
     def scaled(m):
-        span = real(m)
-        return relations.IdentitySpan(m, span.pivots, [[x << 70 for x in row] for row in span.nums], span.den << 70)
+        check, cmax = real(m)
+        return check.astype(object) << 70, cmax << 70
 
-    monkeypatch.setattr(cyclotomic, "identity_span", scaled)
-    monkeypatch.setattr(cyclotomic, "check_matrix", cyclotomic.check_matrix.__wrapped__)
+    monkeypatch.setattr(cyclotomic, "check_matrix", scaled)
     for m in (27, 60):
         assert cyclotomic.check_matrix(m)[0].dtype == object
         for form in identity_u_basis(m).forms:

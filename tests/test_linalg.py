@@ -30,6 +30,29 @@ def test_rational_wire_format():
     assert rat_from_str("-4") == F(-4)
 
 
+WIRE_STRINGS = [
+    # the fast forms: sign and ASCII digits, with or without a denominator
+    "0", "7", "+7", "-7", "007", "-0", "6/4", "-6/4", "+6/4", "0/5", "10/1", "123456789012345678901234567890/7",
+    # left to Fraction, accepted
+    " 3/4 ", "\t-2\n", "1_000", "1_0/2_0", "1.5", "-.5", "1e3", "2E-2", "\u0663", "\u0663/\u0664",
+    # left to Fraction, refused
+    "", " ", "+", "-", "/", "3/", "/4", "3/ 4", "3 /4", "3/-4", "3/+4", "--3", "+-3", "1/2/3", "1__0", "_1",
+    "1_", "abc", "\u00b2", "0x10", "inf", "nan", "1/0", "-5/0", "0/0", "1/00",
+]
+
+
+@pytest.mark.parametrize("s", WIRE_STRINGS)
+def test_rat_from_str_is_fraction_of_the_stripped_string(s):
+    try:
+        expected = F(s.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            rat_from_str(s)
+    else:
+        got = rat_from_str(s)
+        assert type(got) is F and got == expected
+
+
 class TestLinearForm:
     def test_lengths_and_ranges(self):
         f = LinearForm(S_SPACE, 8, (F(1), F(0), F(2)))
