@@ -383,9 +383,8 @@ def _even_counts(f: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def check_matrix(m: int) -> tuple[np.ndarray, int]:
-    """The integer check matrix C at modulus m, and max|C|: u C = 0 proves the claim u.
+def build_check_matrix(m: int) -> np.ndarray:
+    """The integer check matrix C at modulus m, built afresh: u C = 0 proves the claim u.
 
     For k = 1..m' let f_k = m/gcd(k, m), a_k = k/gcd(k, m), D = lcm_k
     phi(f_k) and w_k = D/phi(f_k).  The table T has one row per x_k and the
@@ -426,7 +425,8 @@ def check_matrix(m: int) -> tuple[np.ndarray, int]:
 
     The table is one gather from the E of its conductors, with no
     elimination: under 0.2 ms at m <= 100, about 4 ms at m = 990 and
-    0.08 s at m = 4106 on a 2-core x86 VM.  One C is cached per modulus.
+    0.08 s at m = 4106 on a 2-core x86 VM.  Nothing is cached: the
+    certificate reads `check_matrix`, and the scan builds C per modulus.
     """
     half = m // 2
     k = np.arange(1, half + 1, dtype=np.int64)
@@ -448,7 +448,13 @@ def check_matrix(m: int) -> tuple[np.ndarray, int]:
         base = np.array([factorize(c)[0][0] if len(factorize(c)) == 1 else 0 for c in conductors])[which, None]
         table = np.hstack([weight * (base == [p for p, _ in fact]), table])
     # column-major, so that each column of u C is one contiguous dot product
-    check = np.asfortranarray(table[1:] - table[0])
+    return np.asfortranarray(table[1:] - table[0])
+
+
+@lru_cache(maxsize=None)
+def check_matrix(m: int) -> tuple[np.ndarray, int]:
+    """`build_check_matrix(m)`, read-only, and max|C|, cached per modulus for the certificate."""
+    check = build_check_matrix(m)
     check.setflags(write=False)
     return check, max(int(check.max()), -int(check.min()))
 

@@ -7,6 +7,8 @@ negatives; this is exactly what `str(Fraction)` produces.
 
 `rref` is the package's one elimination routine: modular elimination, then
 rational reconstruction, then an exact check that makes the result a proof.
+`certify_nonsingular` proves a square integer matrix nonsingular with no
+elimination, by one exact float64 product.
 """
 
 from __future__ import annotations
@@ -423,3 +425,36 @@ class _FractionCache(dict):
     def __missing__(self, key):
         f = self[key] = Fraction(*key)
         return f
+
+
+def certify_nonsingular(b: np.ndarray) -> bool:
+    """Whether the square integer matrix b is proven nonsingular over Q; False leaves it open.
+
+    With n = len(b), 2^e max|b| n <= 2^52, the float64 inverse of b is
+    scaled by 2^k and rounded to R with |R| <= 2^(e-1).  Every product and
+    partial sum of R b is then an integer below 2^51, so the float64 product
+    is exact, in whatever order it adds, and so is E = R b - 2^k I for
+    0 <= k <= 52.  If every row of |E| sums below 2^k, then
+    2^-k R b = I + F with ||F||_inf < 1 is invertible, hence so is b.  The
+    row sums are float sums of nonnegative integers; one that comes out
+    below 2^k <= 2^52 is exact, as rounding is monotone and every integer up
+    to 2^53 is a float64.  For an accurate inverse, 2^k < 2^(e-1) n max|b|,
+    so k <= 51.
+    """
+    n = len(b)
+    e = ((1 << 52) // max(n * int(np.abs(b).max(initial=0)), 1)).bit_length() - 1
+    if e < 1:
+        return False
+    mat = b.astype(np.float64)
+    try:
+        inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        return False
+    amax = float(np.abs(inv).max(initial=0))
+    if not 0 < amax < math.inf:
+        return False
+    k = e - 1 - math.frexp(amax)[1]  # amax < 2^frexp, so |2^k inv| < 2^(e-1)
+    if not 0 <= k <= 52:
+        return False
+    err = np.rint(np.ldexp(inv, k)) @ mat - np.ldexp(np.eye(n), k)
+    return bool((np.abs(err).sum(axis=1) < 2.0**k).all())

@@ -1,16 +1,22 @@
 """Relation-space linear algebra: elimination tables, dimensions, discovery.
 
-Elimination tables and the scan take their relations from the cyclotomic
-identities, eliminated once, in integers, in the S-coordinates
+Elimination tables take their relations from the cyclotomic identities,
+eliminated once, in integers, in the S-coordinates
 (`relations.identity_span`).  The identities are exact and complete, so the
 t they report is the dimension of the span, with no numerics involved.
+
+The scan reads the closed-form even-character table of the certificate
+(`cyclotomic.build_check_matrix`) in S-coordinates instead, with no
+elimination where its trailing block is proven nonsingular
+(`trailing_basis`).
 
 Discovery (`discover_relations`, behind `symfreq discover`) is an
 independent numeric route to the same relation spaces.  It builds the
 classical integer-relation lattice over the values U_2..U_m' scaled by
 2^(P-64), LLL-reduces it, and treats short rows as candidate integer
-relations.  A candidate is accepted only when the exact
-cyclotomic certificate confirms it; numerics alone never admit a relation.
+relations.  A candidate whose ball sum(c_k U_k) excludes 0 is rejected; the
+others are accepted only when the exact cyclotomic certificate confirms
+them, so numerics alone never admit a relation.
 Accepted relations are filtered to an independent set, the found pivots are
 projected out, and the search repeats on the remaining coordinates until a
 pass adds nothing new.  The reported dimension is therefore an exact lower
@@ -24,11 +30,22 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import frequencies
 from .balls import PrecisionContext, mpf_to_fraction
-from .cyclotomic import verify_u_relation
+from .cyclotomic import build_check_matrix, verify_u_relation
 from .intmath import euler_phi
-from .linalg import LinearForm, U_SPACE, format_terms, rat_to_str, rref, stack_forms
+from .linalg import (
+    LinearForm,
+    S_SPACE,
+    U_SPACE,
+    certify_nonsingular,
+    format_terms,
+    rat_to_str,
+    rref,
+    stack_forms,
+)
 from .lll import lll_reduce
 from .relations import CASE_PRIME, RelationBasis, identity_span, modulus_profile
 
@@ -126,10 +143,11 @@ def discover_relations(m: int, precision: int = 256, bound: int = 10**6) -> Disc
     """Hunt for integer relations among U_2..U_m' and certify them exactly.
 
     precision is the ball precision used for the lattice; the scaling
-    exponent is precision - 64, so a candidate row surviving LLL has residual
-    below its own coefficient mass only if the relation is plausible.  Every
-    accepted relation passed verify_u_relation; rejected near-misses are
-    reported as evidence.
+    exponent is precision - 64.  A candidate row surviving LLL goes on only
+    when its residual ball sum(c_k U_k), at that precision, contains 0; the
+    smallest norm of the rejected rows is reported as evidence.  Every
+    accepted relation passed verify_u_relation, and a warning is raised only
+    when a candidate whose ball contains 0 fails it.
     """
     if m < 4:
         raise ValueError("discovery needs m >= 4")
@@ -168,13 +186,12 @@ def discover_relations(m: int, precision: int = 256, bound: int = 10**6) -> Disc
                 continue
             if max(map(abs, coeffs)) > bound:
                 continue
-            l1 = sum(map(abs, coeffs))
-            if abs(resid) > l1:
-                # cannot be an exact relation: |x_k - U_k 2^shift| <= 0.51
-                min_rejected = min(min_rejected, _row_norm(coeffs, resid, shift))
-                continue
             form = LinearForm.from_map(U_SPACE, m, {k: Fraction(c) for k, c in zip(free, coeffs)})
             if form.is_zero():
+                continue
+            if not frequencies.evaluate_form(form, ctx).contains_zero():
+                # the ball holds the exact value sum c_k U_k, so it is not 0
+                min_rejected = min(min_rejected, _row_norm(coeffs, resid, shift))
                 continue
             trial = verified + [form]
             if rref(stack_forms(trial)).rank != len(trial):
@@ -183,10 +200,10 @@ def discover_relations(m: int, precision: int = 256, bound: int = 10**6) -> Disc
                 verified = trial
                 found_new = True
             else:
-                near_miss = True
+                near_miss = True  # its ball contains 0, but it is no relation
         if near_miss and not found_new:
             warnings.append(
-                f"candidates at m={m} passed the numeric filter but failed the exact "
+                f"candidates at m={m} had residual balls containing 0 but failed the exact "
                 f"certificate; consider raising the precision above {precision}"
             )
         if not found_new:
@@ -227,32 +244,65 @@ class ScanRow:
         return asdict(self)
 
 
+def trailing_basis(m: int) -> tuple[int, LinearForm | None]:
+    """t, and a relation among S_{m'-t}..S_{m'-1} when those values are no basis of the span.
+
+    Psi is the check matrix C of `cyclotomic.build_check_matrix` in
+    S-coordinates: row S_d is 2 C[U_(d+1)] - C[U_d] - C[U_(d+2)] and the
+    last row C[U_m'] - C[U_(m'-1)], with C[U_1] = 0, the substitution of
+    `relations.phi_inverse`, so an S-form s has s Psi = u C for
+    u = phi_inverse(s).  u C = 0 proves the relation u (Kronecker, with no
+    L-function; see `build_check_matrix`), and every relation has u C = 0,
+    as L(1, psi) != 0 for every even Dirichlet character psi.  So t is the
+    rank of Psi, and the trailing values are a basis iff its trailing t
+    rows have rank t.
+
+    Psi has one column per tau_p and per unit b, t of them.  When its
+    trailing t x t block B is proven nonsingular
+    (`linalg.certify_nonsingular`, one float64 product), both hold, with
+    no elimination.  Otherwise `rref` settles them: t = rank Psi, and when
+    the trailing t rows are dependent, a vector s with s B = 0 read off the
+    RREF of B^T is returned as an integer S-form, a relation that
+    `verify_u_relation` accepts on u C = 0.  The table is built afresh on
+    every call, so nothing is kept per modulus.
+    """
+    check = build_check_matrix(m)
+    c = np.vstack([np.zeros_like(check[:1]), check])  # rows U_1..U_m'
+    psi = np.vstack([2 * c[1:-1] - c[:-2] - c[2:], c[-1:] - c[-2:-1]])
+    t = psi.shape[1]
+    if certify_nonsingular(psi[-t:]):
+        return t, None
+    t = rref(psi).rank
+    ech = rref(psi[-t:].T)
+    if ech.rank == t:
+        return t, None
+    # the first free column j of the RREF: s_j = den and s_p = -den R_p[j]
+    j = next(j for j, p in enumerate((*ech.pivots, t)) if j != p)
+    den = math.lcm(*ech.dens)
+    s = [0] * t
+    s[j] = den
+    for p, row, d in zip(ech.pivots, ech.nums, ech.dens):
+        s[p] = -row[j] * (den // d)
+    g = math.gcd(*s)
+    return t, LinearForm(S_SPACE, m, (0,) * (len(psi) - t) + tuple(x // g for x in s))
+
+
 def scan_range(lo: int, hi: int) -> list[ScanRow]:
     """Per-modulus dimension and trailing-basis report over a range.
 
-    Each row's t is the span dimension m' - 1 - rank of an exact, complete
-    relation basis, compared against phi(m)/2 - 1 + omega(m).  Prime m lies
-    outside the formula's scope (formula_applies is False): there
-    t = (p-3)/2.
+    Each row's t and trailing flag come from `trailing_basis`, and t is
+    compared against phi(m)/2 - 1 + omega(m).  Prime m lies outside the
+    formula's scope (formula_applies is False): there t = (p-3)/2.
     """
     if lo < 4 or hi < lo:
         raise ValueError("scan needs 4 <= from <= to")
     out = []
     for m in range(lo, hi + 1):
         prof = modulus_profile(m)
-        table = express_dependents(m)
+        t, witness = trailing_basis(m)
         formula = euler_phi(m) // 2 - 1 + len(prof.factorization)
         applies = prof.case != CASE_PRIME
         out.append(
-            ScanRow(
-                m,
-                prof.case,
-                table.t,
-                formula,
-                applies,
-                table.t == formula,
-                table.trailing_ok,
-                table.method,
-            )
+            ScanRow(m, prof.case, t, formula, applies, t == formula, witness is None, "characters")
         )
     return out

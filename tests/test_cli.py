@@ -219,16 +219,16 @@ class TestExpressAndScan:
         rows = doc["payload"]["rows"]
         assert [r["m"] for r in rows] == list(range(4, 13))
         for r in rows:
-            assert r["trailing_basis_ok"]
+            assert r["trailing_basis_ok"] and r["method"] == "characters"
             if r["formula_applies"]:
                 assert r["match"]
 
     def test_scan_63(self, run_cli_json):
-        # 63 = 9 * 7 has no constructed basis; the identity engine answers
+        # 63 = 9 * 7 has no constructed basis; the character table answers
         code, doc = run_cli_json("scan", "--from", "63", "--to", "63")
         assert code == EXIT_OK
         (row,) = doc["payload"]["rows"]
-        assert row["t"] == 19 and row["match"] and row["method"] == "identities"
+        assert row["t"] == 19 and row["match"] and row["method"] == "characters"
 
     def test_scan_bad_range(self, run_cli):
         code, _ = run_cli("scan", "--from", "3", "--to", "10")

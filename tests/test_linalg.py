@@ -313,3 +313,39 @@ class TestModularRref:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
             rref([[1, 2], [3]])
+
+
+class TestCertifyNonsingular:
+    @given(st.integers(1, 12), st.sampled_from([1, 3, 1000, 2**20, 2**40]), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_never_certifies_a_singular_matrix(self, n, bound, seed):
+        # one row an integer combination of the others; the other rows random
+        rng = random.Random(seed)
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n - 1)]
+        weights = [rng.randint(-3, 3) for _ in rows]
+        rows.insert(rng.randrange(n), [sum(w * r[j] for w, r in zip(weights, rows)) for j in range(n)])
+        assert not linalg.certify_nonsingular(np.array(rows, dtype=np.int64))
+
+    @given(st.integers(1, 12), st.sampled_from([1, 3, 1000, 2**20]), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_certified_only_at_full_rank(self, n, bound, seed):
+        rng = random.Random(seed)
+        b = np.array([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        if linalg.certify_nonsingular(b):
+            assert rref(b).rank == n
+
+    def test_certifies_identity_permutation_and_diagonal(self):
+        rng = random.Random(11)
+        for n in (1, 2, 5, 40, 200):
+            eye = np.eye(n, dtype=np.int64)
+            assert linalg.certify_nonsingular(eye)
+            assert linalg.certify_nonsingular(eye[rng.sample(range(n), n)])
+            diag = [rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(n)]
+            assert linalg.certify_nonsingular(np.diag(diag))
+
+    @pytest.mark.parametrize("big", [2**51 + 1, 2**52 - 3, 2**53 + 1, 2**62])
+    def test_falls_back_near_the_exactness_bound(self, big):
+        # nonsingular, but with n max|b| > 2^52 no exact float64 product
+        # R b is left, so the answer is left open
+        assert not linalg.certify_nonsingular(np.diag([3, big]))
+        assert not linalg.certify_nonsingular(np.array([[big, big - 1], [big + 1, big]]))

@@ -20,7 +20,7 @@ from symfreq.relations import (
     short_s_relation,
     u_basis,
 )
-from symfreq.solver import discover_relations, express_dependents, scan_range
+from symfreq.solver import discover_relations, express_dependents, scan_range, trailing_basis
 
 M27_S_RELATIONS = [
     (1, 1, 0, -1, -2, -2, -3, -3, -3, -2, -2, -2),
@@ -242,6 +242,16 @@ class TestDiscovery:
         assert not any("coefficient mass" in w for w in rep.warnings), rep.warnings
         assert rep.empirical_t == expected_t(m)
 
+    @pytest.mark.parametrize("m", range(4, 63))
+    def test_no_warning_where_the_search_is_complete(self, m):
+        # a candidate whose residual ball excludes 0 is rejected before the
+        # certificate, so only a ball containing 0 could warn; at 256 bits
+        # none does in 4..62, and the found span is the whole relation space
+        rep = discover_relations(m)
+        assert rep.warnings == ()
+        assert rep.empirical_t == expected_t(m)
+        assert same_span(rep.basis.forms, identity_u_basis(m).forms)
+
 
 class TestOracleTables:
     def test_tables_match_fraction_oracle(self):
@@ -301,8 +311,8 @@ class TestScan:
 
     @pytest.mark.parametrize(
         "m, t, formula, method",
-        [(27, 9, 9, "identities"), (32, 8, 8, "identities"), (35, 13, 13, "identities"),
-         (12, 3, 3, "identities"), (5, 1, 2, "identities")],
+        [(27, 9, 9, "characters"), (32, 8, 8, "characters"), (35, 13, 13, "characters"),
+         (12, 3, 3, "characters"), (5, 1, 2, "characters")],
     )
     def test_row(self, m, t, formula, method):
         (row,) = scan_range(m, m)
@@ -327,17 +337,42 @@ class TestScan:
         monkeypatch.setattr(solver, "discover_relations", refuse)
         rows = scan_range(60, 63)
         assert [(r.t, r.method) for r in rows] == [
-            (10, "identities"), (29, "identities"), (16, "identities"), (19, "identities")
+            (10, "characters"), (29, "characters"), (16, "characters"), (19, "characters")
         ]
         assert express_dependents(24).method == "identities"
         assert scan_range(36, 36)[0].match
 
     def test_scan_keeps_no_per_modulus_state(self):
-        # every scan op eliminates afresh; it fills no certificate cache
+        # every scan op builds its table afresh; it fills no certificate cache
         assert not hasattr(relations.identity_span, "cache_info")
+        assert not hasattr(cyclotomic.build_check_matrix, "cache_info")
         before = cyclotomic.check_matrix.cache_info().currsize
+        characters = cyclotomic.character_matrix.cache_info().currsize
         scan_range(4, 120)
         assert cyclotomic.check_matrix.cache_info().currsize == before
+        assert cyclotomic.character_matrix.cache_info().currsize == characters
+
+    def test_scan_equals_the_identity_elimination_to_300(self):
+        # two independent routes: the character table, its trailing block
+        # certified nonsingular or eliminated, against the one elimination of
+        # the cyclotomic identities
+        for row in scan_range(4, 300):
+            table = express_dependents(row.m)
+            assert (row.t, row.trailing_basis_ok) == (table.t, table.trailing_ok), row.m
+
+    def test_trailing_witnesses_are_certified_to_120(self):
+        # each trailing failure comes with a nonzero S-relation on the trailing
+        # values, which the certificate accepts; every other m has none
+        for m in range(4, 121):
+            t, witness = trailing_basis(m)
+            assert t == expected_t(m), m
+            if m not in TRAILING_FAILURES_TO_300:
+                assert witness is None, m
+                continue
+            lead = m // 2 - 1 - t
+            assert not witness.is_zero() and not any(witness.coeffs[:lead]), m
+            assert all(c.denominator == 1 for c in witness.coeffs), m
+            assert verify_u_relation(m, phi_inverse(witness)), m
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
