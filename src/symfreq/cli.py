@@ -6,8 +6,7 @@ freq, verify and discover, which take --prec, carry "precision".
 Rationals are "p/q" strings; balls are {"mid", "rad", "bits"} objects.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 unsupported modulus, or a certificate needing more split primes than
-lie below 2^31.
+3 unsupported modulus.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import mpmath
 from . import __version__
 from . import frequencies
 from .balls import PrecisionContext, RealBall, mpf_to_fraction
-from .cyclotomic import CertificateLimitError, scaled_exponents, verify_u_relation
+from .cyclotomic import scaled_exponents, verify_u_relation
 from .linalg import S_SPACE, U_SPACE, form_from_json, form_to_json, format_terms
 from .relations import UnsupportedModulus, phi_forward, phi_inverse, u_basis
 from .solver import discover_relations, express_dependents, scan_range
@@ -341,7 +340,7 @@ def main(argv: list[str] | None = None, stream=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnsupportedModulus, CertificateLimitError) as exc:
+    except UnsupportedModulus as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ValueError as exc:

@@ -1,26 +1,9 @@
 import io
 import json
 
-import numpy as np
 import pytest
 
-from symfreq import cyclotomic
 from symfreq.cli import main
-
-
-@pytest.fixture
-def no_span(monkeypatch):
-    """A check matrix that accepts only u = 0 and a character table with no roots,
-    so that `verify_u_relation` decides every claim at split primes."""
-
-    def identity(m):
-        return np.eye(m // 2 - 1, dtype=np.int64), 1
-
-    def no_roots(m):
-        return np.zeros((m // 2 - 1, 0), dtype=np.int64)
-
-    monkeypatch.setattr(cyclotomic, "check_matrix", identity)
-    monkeypatch.setattr(cyclotomic, "character_matrix", no_roots)
 
 
 @pytest.fixture

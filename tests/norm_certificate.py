@@ -1,11 +1,11 @@
 """The norm-bound certificate, an independent oracle for `verify_u_relation`.
 
-`symfreq.cyclotomic.verify_u_relation` accepts a claim by exact membership in
-the span of the cyclotomic identities.  This module decides the same claims
-by evaluation alone: both sides of the product identity A = B (see
-`verify_u_relation`) are evaluated at split primes by
-`cyclotomic._products_agree`, over primes whose product exceeds a bound on
-the mean of log2|sigma(A - B)| over the embeddings sigma.  The bound is
+`symfreq.cyclotomic.verify_u_relation` decides a claim by one exact product
+with the even-character table.  This module decides the same claims by
+evaluation alone: both sides of the product identity A = B (see
+`split_prime_oracle.claim_sides`) are evaluated at split primes by
+`split_prime_oracle._products_agree`, over primes whose product exceeds a
+bound on the mean of log2|sigma(A - B)| over the embeddings sigma.  The bound is
 taken factor by factor from a table of log2|2 sin(pi r/n)| in integer
 fixed point, rounded up, and never exceeds the trivial bound M + 1.  For a
 true claim it is about log2|N(A)|/phi(n), a few bits for most claims, so
@@ -16,11 +16,10 @@ primes than M + 1 asks for.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
-from symfreq import cyclotomic
+from split_prime_oracle import _products_agree, claim_sides
 from symfreq.balls import log2_fixed, pi_fixed, sin_fixed
 
 #: Entries of the log-sine table are in units of 2^-LOG_UNIT_BITS bits.
@@ -66,30 +65,6 @@ def norm_bits(n: int, idx: np.ndarray, exps: list[int], nl: int) -> int:
     return 1 - (-total // (len(idx) << LOG_UNIT_BITS))
 
 
-def claim_sides(m: int, form):
-    """(n, twist, left, right, units) of the identity A = B behind a U-form, or None if it is 0.
-
-    The exponents are divided by their gcd first; the sides are built as in
-    the docstring of `verify_u_relation`.
-    """
-    n = 2 * m
-    _, exps = cyclotomic.scaled_exponents(form)
-    if not exps:
-        return None
-    g = gcd(*exps.values())
-    exps = {k: e // g for k, e in exps.items()}
-    twist = sum(e * (1 - k) for k, e in exps.items()) % n
-    total = sum(exps.values())
-    left = [(2 * k, e) for k, e in exps.items() if e > 0]
-    right = [(2 * k, -e) for k, e in exps.items() if e < 0]
-    if total < 0:
-        left.append((2, -total))
-    elif total > 0:
-        right.append((2, total))
-    units = [j for j in range(1, m) if gcd(j, n) == 1]
-    return n, twist, left, right, units
-
-
 def norm_bound(n: int, left, right, units) -> int:
     """min(M + 1, `norm_bits`) for the two sides: the bits their agreement must cover."""
     cs = [c for c, _ in left] + [c for c, _ in right]
@@ -106,4 +81,4 @@ def verify_by_norm(m: int, form) -> bool:
     if sides is None:
         return True
     n, twist, left, right, units = sides
-    return cyclotomic._products_agree(n, twist, left, right, units, norm_bound(n, left, right, units))
+    return _products_agree(n, twist, left, right, units, norm_bound(n, left, right, units))

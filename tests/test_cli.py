@@ -135,26 +135,13 @@ class TestVerify:
         rel = doc["payload"]["relations"][0]
         assert not rel["exact"]["pass"] and not rel["numeric"]["pass"]
 
-    @staticmethod
-    def huge_claim(tmp_path):
-        # a true claim with gcd-1 exponents near 10^9 at m = 27
+    def test_certificate_in_the_span_at_any_size(self, run_cli_json, tmp_path):
+        # a true claim with gcd-1 exponents near 10^9 at m = 27 lies in the
+        # identity span, so it is proven at once
         forms = u_basis(27).forms
         vec = [10**9 * c + d for c, d in zip(forms[0].coeffs, forms[1].coeffs)]
         f = tmp_path / "huge.json"
         f.write_text(json.dumps(form_to_json(LinearForm(U_SPACE, 27, tuple(vec)))))
-        return f
-
-    def test_certificate_past_the_prime_pool(self, run_cli, tmp_path, capsys, no_span):
-        # outside the (here emptied) identity span, its M + 1 bits need more
-        # split primes than lie below 2^31
-        f = self.huge_claim(tmp_path)
-        code, _ = run_cli("verify", "--m", "27", "--relations", str(f), "--mode", "exact")
-        assert code == EXIT_UNSUPPORTED
-        assert "split primes" in capsys.readouterr().err
-
-    def test_certificate_in_the_span_at_any_size(self, run_cli_json, tmp_path):
-        # the same claim lies in the identity span, so it is proven at once
-        f = self.huge_claim(tmp_path)
         code, doc = run_cli_json("verify", "--m", "27", "--relations", str(f), "--mode", "exact")
         assert code == EXIT_OK
         assert doc["payload"]["relations"][0]["exact"]["pass"]

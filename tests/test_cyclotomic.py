@@ -21,13 +21,10 @@ from cyclo_oracle import (
     zeta,
 )
 import norm_certificate
+import split_prime_oracle as oracle
 from identity_annihilator import identity_annihilator
-from symfreq.cyclotomic import (
-    cyclotomic_poly,
-    scaled_exponents,
-    split_primes,
-    verify_u_relation,
-)
+from split_prime_oracle import split_primes
+from symfreq.cyclotomic import cyclotomic_poly, scaled_exponents, verify_u_relation
 from symfreq import balls, cyclotomic, linalg
 from symfreq.intmath import divisors, euler_phi, factorize, is_prime
 from symfreq.linalg import LinearForm, U_SPACE, rref
@@ -129,8 +126,8 @@ class TestSplitPrimes:
             evaluated.extend(pairs)
             return agree_at(pos, sides, pairs, tables)
 
-        agree_at = cyclotomic._agree_at
-        monkeypatch.setattr(cyclotomic, "_agree_at", spy)
+        agree_at = oracle._agree_at
+        monkeypatch.setattr(oracle, "_agree_at", spy)
         for m in (16, 27, 35):
             forms = u_basis(m).forms
             for scale in (1, 64, 1000):
@@ -152,7 +149,7 @@ class TestSplitPrimes:
     @pytest.mark.parametrize("n", [8, 54, 200])
     def test_root_tables(self, n):
         pairs = split_primes(n, 100)
-        tables = cyclotomic._root_tables(n, pairs)
+        tables = oracle._root_tables(n, pairs)
         for (p, w), row in zip(pairs, tables.tolist()):
             powers = [pow(w, r, p) for r in range(n)]
             assert row == powers + [(1 - x) % p for x in powers]
@@ -162,17 +159,17 @@ class TestSplitPrimes:
         # _pool_size bounds the primes the search finds in (2^30, 2^31); a
         # request above the bound is refused before any search, one within
         # it but past the primes found once the search reaches 2^30
-        monkeypatch.setattr(cyclotomic, "_SPLIT_PRIMES", {})
-        size = cyclotomic._pool_size(n)
-        with pytest.raises(cyclotomic.CertificateLimitError):
+        monkeypatch.setattr(oracle, "_SPLIT_PRIMES", {})
+        size = oracle._pool_size(n)
+        with pytest.raises(oracle.CertificateLimitError):
             split_primes(n, 30 * size + 1)
-        assert cyclotomic._SPLIT_PRIMES[n] == []
-        with pytest.raises(cyclotomic.CertificateLimitError):
+        assert oracle._SPLIT_PRIMES[n] == []
+        with pytest.raises(oracle.CertificateLimitError):
             split_primes(n, 30 * size)
-        found = cyclotomic._SPLIT_PRIMES[n]
+        found = oracle._SPLIT_PRIMES[n]
         assert 0 < len(found) <= size
         assert split_primes(n, 30 * len(found)) == found
-        with pytest.raises(cyclotomic.CertificateLimitError):
+        with pytest.raises(oracle.CertificateLimitError):
             split_primes(n, 30 * len(found) + 1)
 
 
@@ -307,7 +304,7 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_u_relation(25, LinearForm.zero(U_SPACE, 27))
 
-    # phi(2m) above 4096: the split-prime certificate has no degree limit
+    # phi(2m) above 4096: the certificate has no degree limit
     def test_rejects_beyond_degree_4096(self):
         m = 4099  # prime, phi(2m) = 4098
         assert verify_u_relation(m, _u_form(m, {2: 1})) is False
@@ -321,8 +318,9 @@ class TestVerify:
     def test_perturbation_beyond_degree_4096(self):
         for k, c in self.TWO_P_4106.items():
             for d in (-1, 1):
-                bumped = {**self.TWO_P_4106, k: c + d}
-                assert verify_u_relation(4106, _u_form(4106, bumped)) is False, (k, d)
+                bumped = _u_form(4106, {**self.TWO_P_4106, k: c + d})
+                assert verify_u_relation(4106, bumped) is False, (k, d)
+                assert oracle.has_refutation_witness(4106, bumped), (k, d)
 
     @given(st.sampled_from((10, 14, 16, 27)), st.data())
     @settings(max_examples=40, deadline=None)
@@ -410,11 +408,35 @@ def test_membership_agrees_with_the_norm_certificate(m):
 
 
 @pytest.mark.parametrize("m", ROUTE_MODULI)
-def test_split_prime_route_agrees_with_membership(no_span, m):
-    # with the span empty every claim is decided at split primes: a false
-    # one by a mismatch, a true one by agreement over M + 1 bits
+def test_split_prime_route_agrees_with_membership(m):
+    # every claim decided at split primes alone: a false one by a mismatch,
+    # a true one by agreement over M + 1 bits
+    for form, truth in _route_claims(m):
+        assert oracle.verify_by_split_primes(m, form) is verify_u_relation(m, form) is truth
+
+
+@pytest.mark.parametrize("m", ROUTE_MODULI)
+def test_every_refusal_has_a_witness(m):
+    # the certificate refuses by L(1, psi) != 0, with no witness; the oracle
+    # must find one for each of its refusals, a character or a split prime
     for form, truth in _route_claims(m):
         assert verify_u_relation(m, form) is truth
+        if not truth:
+            assert oracle.has_refutation_witness(m, form)
+
+
+def test_bumped_identities_have_witnesses_to_120():
+    # every identity-basis row with one coefficient moved by +-1 is refused,
+    # and the oracle finds a witness for it, at every modulus in 4..120
+    for m in range(4, 121):
+        for row in _identity_rows(m):
+            for i in (0, len(row) - 1):
+                for d in (-1, 1):
+                    bumped = list(row)
+                    bumped[i] += d
+                    form = LinearForm(U_SPACE, m, tuple(bumped))
+                    assert verify_u_relation(m, form) is False, (m, i, d)
+                    assert oracle.has_refutation_witness(m, form), (m, i, d)
 
 
 def _reference_characters(m, roots):
@@ -441,57 +463,55 @@ def _reference_characters(m, roots):
 
 @pytest.mark.parametrize("m", [4, 12, 27, 42, 105])
 def test_character_matrix_matches_definition(m):
-    table = cyclotomic.character_matrix(m)
-    assert table.tolist() == _reference_characters(m, cyclotomic.CHARACTER_ROOTS)
+    table = oracle.character_matrix(m)
+    assert table.tolist() == _reference_characters(m, oracle.CHARACTER_ROOTS)
 
 
 @pytest.mark.parametrize("m", [12, 42, 60, 100, 105, 210, 300])
 def test_characters_vanish_on_the_identities(m):
     # independent of the check matrix: every identity-basis row is a
     # relation, so each of its characters is 0 mod n
-    table = cyclotomic.character_matrix(m)
-    assert table.shape[1] == cyclotomic.CHARACTER_ROOTS
+    table = oracle.character_matrix(m)
+    assert table.shape[1] == oracle.CHARACTER_ROOTS
     for row in _identity_rows(m):
         assert not (np.array(row, dtype=object) @ table % (2 * m)).any()
 
 
 @pytest.mark.parametrize("m", ROUTE_MODULI)
-def test_characters_refute_every_false_route_claim(monkeypatch, m):
-    # with the split primes out of reach every false claim must be refused
-    # by a character; `test_split_prime_route_agrees_with_membership` refuses
-    # the same claims by a mismatch at split primes
-    def unreachable(*args):
-        raise AssertionError("a false claim escaped every character")
-
-    monkeypatch.setattr(cyclotomic, "_products_agree", unreachable)
+def test_characters_refute_every_false_route_claim(m):
+    # every false claim has a character witness, and no true one has;
+    # `test_split_prime_route_agrees_with_membership` refutes the same
+    # claims by a mismatch at split primes
     for form, truth in _route_claims(m):
-        assert verify_u_relation(m, form) is truth
+        assert oracle.character_witness(m, form) is not truth
 
 
 def test_claims_with_every_character_zero_reach_the_split_primes(monkeypatch):
     # a table of zeros refutes nothing: the false claims then get their
-    # verdict from a mismatch at a split prime
+    # witness from a mismatch at a split prime
     verdicts = []
-    real = cyclotomic._products_agree
+    real = oracle._products_agree
 
     def spy(*args):
         verdicts.append(real(*args))
         return verdicts[-1]
 
     def zeros(m):
-        return np.zeros((m // 2 - 1, cyclotomic.CHARACTER_ROOTS), dtype=np.int64)
+        return np.zeros((m // 2 - 1, oracle.CHARACTER_ROOTS), dtype=np.int64)
 
-    monkeypatch.setattr(cyclotomic, "_products_agree", spy)
-    monkeypatch.setattr(cyclotomic, "character_matrix", zeros)
+    monkeypatch.setattr(oracle, "_products_agree", spy)
+    monkeypatch.setattr(oracle, "character_matrix", zeros)
     for m in (27, 60):
         for form, truth in _route_claims(m):
             assert verify_u_relation(m, form) is truth
+            if not truth:
+                assert oracle.has_refutation_witness(m, form)
     assert verdicts == [False] * 10
 
 
 def test_character_matrix_grows_with_m_only():
     # one row per U_k and a fixed number of roots, not phi(2m) columns
-    assert cyclotomic.character_matrix(4106).shape == (2052, cyclotomic.CHARACTER_ROOTS)
+    assert oracle.character_matrix(4106).shape == (2052, oracle.CHARACTER_ROOTS)
 
 
 @pytest.mark.parametrize("m", [*range(4, 301), 990])
@@ -530,7 +550,9 @@ def test_check_matrix_kernel_at_4106_is_the_two_p_basis():
         for d in (-1, 1):
             bumped = list(vec)
             bumped[rng.randrange(len(vec))] += d
-            assert verify_u_relation(4106, LinearForm(U_SPACE, 4106, tuple(bumped))) is False
+            form = LinearForm(U_SPACE, 4106, tuple(bumped))
+            assert verify_u_relation(4106, form) is False
+            assert oracle.has_refutation_witness(4106, form)
 
 
 def test_check_matrix_past_int64(monkeypatch):
@@ -555,9 +577,8 @@ def test_check_matrix_past_int64(monkeypatch):
 @pytest.mark.parametrize("m", [12, 30])
 def test_large_exponents(m):
     # e x a relation plus another is a relation, with exponents near e and of
-    # gcd 1; a +-1 change on one coefficient is not.  The accepts at m = 12
-    # need 34 to 289 split primes, those at m = 30 up to 84, so the
-    # multi-prime path runs.
+    # gcd 1; a +-1 change on one coefficient is not, and the oracle finds a
+    # witness for each such refusal
     forms = identity_u_basis(m).forms
     for form, other in zip(forms, forms[1:] + forms[:1]):
         first = next(i for i, c in enumerate(form.coeffs) if c)
@@ -568,19 +589,21 @@ def test_large_exponents(m):
             for d in (-1, 1):
                 bumped = list(vec)
                 bumped[first] += d
-                assert verify_u_relation(m, LinearForm(U_SPACE, m, tuple(bumped))) is False
+                form_bumped = LinearForm(U_SPACE, m, tuple(bumped))
+                assert verify_u_relation(m, form_bumped) is False
+                assert oracle.has_refutation_witness(m, form_bumped)
 
 
 @pytest.mark.parametrize("n", [8, 10, 24, 60])
 def test_all_roots_large_exponents(n):
     # (1 - z^2)^e = ((1 - z)(1 + z))^e with 1 + z = 1 - z^(n/2 + 1), checked
-    # by the product check behind verify_u_relation on the roots it is given
-    # there (one unit j of each pair {j, -j}).  Conjugation sends each side
+    # by the oracle's product check on the roots it is given for a claim (one
+    # unit j of each pair {j, -j}).  Conjugation sends each side
     # to (-1)^e z^(-2e) times itself, as that root set requires.  At
     # e = 10^5 an accept needs about 1700 (n = 8) and 1900 (n = 10) primes.
     units = [j for j in range(1, n // 2) if gcd(j, n) == 1]
     one_plus = n // 2 + 1
-    agree = cyclotomic._products_agree
+    agree = oracle._products_agree
     for e in (1000, 4321, 10**5) if n in (8, 10) else (1000, 4321):
         assert agree(n, 0, [(2, e)], [(1, e), (one_plus, e)], units) is True
         for d in (-1, 1):
@@ -621,8 +644,8 @@ def test_norm_bits_exact_at_any_exponent():
 
 
 def test_identity_combinations_at_m100():
-    # identity-basis combinations with coefficients in +-1000 need 60 to 167
-    # split primes each; a +-1 change on one coefficient is refused
+    # identity-basis combinations with coefficients in +-1000 are accepted;
+    # a +-1 change on one coefficient is refused
     rng = random.Random(13)
     rows = _identity_rows(100)
     for _ in range(3):
@@ -635,10 +658,10 @@ def test_identity_combinations_at_m100():
 
 @pytest.mark.parametrize("chunk", [1, 7, 500])
 def test_verdicts_do_not_depend_on_the_chunk(monkeypatch, chunk):
-    # chunks below one prime's roots split the roots; larger ones batch
-    # primes.  The accept is also decided by the oracle's evaluation alone,
-    # over the several primes of its norm bound.
-    monkeypatch.setattr(cyclotomic, "_CHUNK", chunk)
+    # chunks below one prime's roots split the oracle's roots; larger ones
+    # batch primes.  The accept is decided by evaluation alone, over the
+    # several primes of the norm bound, and the refusals by a mismatch.
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
     forms = identity_u_basis(60).forms
     vec = [500 * sum(f.coeffs[i] for f in forms) + forms[0].coeffs[i] for i in range(29)]
     form = LinearForm(U_SPACE, 60, tuple(vec))
@@ -646,23 +669,25 @@ def test_verdicts_do_not_depend_on_the_chunk(monkeypatch, chunk):
     for i in (0, 13, 28):
         bumped = list(vec)
         bumped[i] += 1
-        assert verify_u_relation(60, LinearForm(U_SPACE, 60, tuple(bumped))) is False
+        form = LinearForm(U_SPACE, 60, tuple(bumped))
+        assert verify_u_relation(60, form) is oracle.verify_by_split_primes(60, form) is False
 
 
 def test_exponents_past_int64_in_the_array_pass():
     # z^e (1 - z)^e = 1 at n = 6, since 1 - z = z^-1 there; with a bound of
     # one bit, so one prime, the array pass must reduce e exactly
     for e in (2**70, 2**70 + 1, 10**30 + 7, 3**60):
-        assert cyclotomic._products_agree(6, e % 6, [(1, e)], [], [1], 1) is True
-        assert cyclotomic._products_agree(6, (e + 1) % 6, [(1, e)], [], [1], 1) is False
+        assert oracle._products_agree(6, e % 6, [(1, e)], [], [1], 1) is True
+        assert oracle._products_agree(6, (e + 1) % 6, [(1, e)], [], [1], 1) is False
 
 
 def test_claims_past_the_prime_pool_are_refused_at_once():
     # a true claim with gcd-1 exponents near 10^9 at m = 27 lies in the
     # identity span, so it is accepted with no prime at all, and every +-1
-    # change of it is refused by a mismatch; z (1 - z) = 1 at n = 6 raised
-    # to 2^70, given to the product check directly, needs M + 1 = 2^70 + 1
-    # bits, far more than the split primes below 2^31 supply (about 2*10^9)
+    # change of it is refused, and has a witness; z (1 - z) = 1 at n = 6
+    # raised to 2^70, given to the oracle's product check, needs
+    # M + 1 = 2^70 + 1 bits, far more than the split primes below 2^31
+    # supply (about 2*10^9)
     forms = u_basis(27).forms
     vec = [10**9 * c + d for c, d in zip(forms[0].coeffs, forms[1].coeffs)]
     assert verify_u_relation(27, LinearForm(U_SPACE, 27, tuple(vec))) is True
@@ -670,11 +695,13 @@ def test_claims_past_the_prime_pool_are_refused_at_once():
         for d in (-1, 1):
             bumped = list(vec)
             bumped[i] += d
-            assert verify_u_relation(27, LinearForm(U_SPACE, 27, tuple(bumped))) is False, (i, d)
+            form = LinearForm(U_SPACE, 27, tuple(bumped))
+            assert verify_u_relation(27, form) is False, (i, d)
+            assert oracle.has_refutation_witness(27, form), (i, d)
     e = 2**70
-    with pytest.raises(cyclotomic.CertificateLimitError):
-        cyclotomic._products_agree(6, e % 6, [(1, e)], [], [1])
-    assert len(cyclotomic._SPLIT_PRIMES[54]) < 100 and len(cyclotomic._SPLIT_PRIMES[6]) < 100
+    with pytest.raises(oracle.CertificateLimitError):
+        oracle._products_agree(6, e % 6, [(1, e)], [], [1])
+    assert len(oracle._SPLIT_PRIMES.get(54, ())) < 100 and len(oracle._SPLIT_PRIMES[6]) < 100
 
 
 def _order(b, p):
@@ -689,11 +716,11 @@ def test_a_mismatch_after_the_first_root_is_found(monkeypatch):
     # (1 - z^2)^e = 1 with e the order of 1 - w^2 mod the first split prime
     # holds at the root j = 1 of that prime but not at j = 3, which a chunk
     # of one entry puts in a later pass
-    monkeypatch.setattr(cyclotomic, "_CHUNK", 1)
+    monkeypatch.setattr(oracle, "_CHUNK", 1)
     p, w = split_primes(10, 1)[0]
     e = _order(1 - pow(w, 2, p), p)
     assert pow(1 - pow(w, 6, p), e, p) != 1
-    assert cyclotomic._products_agree(10, 0, [(2, e)], [], [1, 3], 1) is False
+    assert oracle._products_agree(10, 0, [(2, e)], [], [1, 3], 1) is False
 
 
 def test_a_mismatch_after_the_first_primes_is_found(monkeypatch):
@@ -701,7 +728,7 @@ def test_a_mismatch_after_the_first_primes_is_found(monkeypatch):
     # root of the first two split primes by Fermat, and is false; a bound of
     # 90 bits asks for three primes, and a chunk of one entry puts each prime
     # after the first in its own pass, so the last pass refutes it
-    monkeypatch.setattr(cyclotomic, "_CHUNK", 1)
+    monkeypatch.setattr(oracle, "_CHUNK", 1)
     (p1, _), (p2, _) = split_primes(8, 60)
     e = lcm(p1 - 1, p2 - 1)
-    assert cyclotomic._products_agree(8, 0, [(2, e)], [(1, e)], [1, 3], 90) is False
+    assert oracle._products_agree(8, 0, [(2, e)], [(1, e)], [1, 3], 90) is False
