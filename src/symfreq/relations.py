@@ -1,6 +1,8 @@
 """Constructive relation machinery: index reduction, the S/U change of
 coordinates, the explicit relation bases for the covered modulus shapes, and
-the cyclotomic-identity basis for every modulus.
+the relation engine for every modulus: the certificate's even-character
+table in S-coordinates (`s_check_matrix`), its one RREF
+(`dependence_rref`), and the basis read from it (`identity_u_basis`).
 
 Conventions, fixed once for the whole package:
 
@@ -21,8 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cyclotomic import build_check_matrix
 from .intmath import factorize, is_prime
-from .linalg import LinearForm, S_SPACE, U_SPACE, rref
+from .linalg import LinearForm, RrefResult, S_SPACE, U_SPACE, rref
 
 
 class UnsupportedModulus(ValueError):
@@ -65,7 +68,7 @@ class RelationBasis:
     m: int
     space: str
     forms: tuple[LinearForm, ...]
-    provenance: str  # "constructed" | "identities" | "discovered"
+    provenance: str  # "constructed" | "characters" | "discovered"
 
 
 def k_red(m: int, k: int) -> int:
@@ -110,28 +113,35 @@ def phi_coeffs(ucoeffs) -> np.ndarray:
     return np.cumsum(c * weights, axis=-1) + weights * (sums[..., -1:] - sums)
 
 
+def phi_inverse_coeffs(scoeffs) -> np.ndarray:
+    """U-coefficients (indices 2..m') of the S-coefficients (1..m'-1): the inverse of `phi_coeffs`.
+
+    Substitutes X_d -> 2Y_{d+1} - Y_d - Y_{d+2} for d <= m'-2 and
+    X_{m'-1} -> Y_{m'} - Y_{m'-1}, with Y_1 = 0: with x_0 = 0 and
+    x_{m'} = x_{m'-1}, the coefficient of Y_k is 2x_{k-1} - x_{k-2} - x_k.
+    Maps the last axis, so a matrix of S-rows maps row by row.  The matrix
+    P of the map (u = s P) is symmetric, as its inverse min(i, j) is, so a
+    table C with one row per U_k has the S-coordinate table Psi = P C, with
+    s Psi = u C, as phi_inverse_coeffs(C^T)^T.  Entries grow at most
+    fourfold; object arrays stay exact.
+    """
+    x = np.asarray(scoeffs)
+    ext = np.concatenate([np.zeros_like(x[..., :1]), x, x[..., -1:]], axis=-1)
+    return 2 * ext[..., 1:-1] - ext[..., :-2] - ext[..., 2:]
+
+
 def phi_inverse(sform: LinearForm) -> LinearForm:
     """Preimage of an S-space form under the change of coordinates.
 
-    Substitutes X_d -> 2Y_{d+1} - Y_d - Y_{d+2} for d <= m'-2 and
-    X_{m'-1} -> Y_{m'} - Y_{m'-1}; Y_1 vanishes.  The substitution runs on
-    the integer numerators over the lcm of the denominators.
+    The substitution of `phi_inverse_coeffs` runs on the integer numerators
+    over the lcm of the denominators.
     """
     if sform.space != S_SPACE:
         raise ValueError("phi_inverse expects an S-space form")
-    m = sform.m
-    half = m // 2
     scale, x = sform.integer_coeffs()
-    y = [0] * (half + 1)  # y[k] is the coefficient of Y_k
-    for d, c in enumerate(x[:-1], start=1):
-        if c:
-            y[d] -= c
-            y[d + 1] += 2 * c
-            y[d + 2] -= c
-    y[half - 1] -= x[-1]
-    y[half] += x[-1]
     zero = Fraction(0)
-    return LinearForm(U_SPACE, m, tuple(Fraction(c, scale) if c else zero for c in y[2:]))
+    y = phi_inverse_coeffs(np.array(x, dtype=object)).tolist()
+    return LinearForm(U_SPACE, sform.m, tuple(Fraction(c, scale) if c else zero for c in y))
 
 
 # ----------------------------------------------------------------------
@@ -308,117 +318,62 @@ def u_basis(m: int) -> RelationBasis:
     )
 
 
-def identity_rows(m: int) -> np.ndarray:
-    """The cyclotomic identities among the x_a as integer rows, for any m >= 4.
+def s_check_matrix(m: int) -> np.ndarray:
+    """Psi, the check matrix C of `cyclotomic.build_check_matrix` in S-coordinates, built afresh.
 
-    Here x_a = log|1 - zeta_m^a| = log(2 sin(pi a/m)), so that x_a = x_{m-a}.
-    The columns are one log p per prime p | m, then the sum of the
-    x-coefficients, then x_1..x_m'.  The rows are
-
-    * distribution: sum_{j<d} x_{b + j m/d} = x_{bd} for d | m, d > 1 and
-      1 <= b < m/d, the logarithm of prod_{y^d = z} (1 - y) = 1 - z.  Only
-      prime d are generated: the identity for d = d1 d2 is the sum of the
-      d1-identities over the d2-th roots w of z, chained with the
-      d2-identity, and none of those w is 1.  Only b <= m/(2d) are generated:
-      b and m/d - b give the same row, as both sides change sign mod m;
-    * norm: sum_{1<=a<q, p∤a} x_{a m/q} = log p for each prime power q = p^k
-      dividing m, the logarithm of Phi_q(1) = p.
-
-    By the rational form of Bass's theorem (Bass 1966; Washington,
-    Introduction to Cyclotomic Fields, ch. 8) these identities span every
-    Q-linear relation among the x_a.
+    Row S_d is 2 C[U_(d+1)] - C[U_d] - C[U_(d+2)] and the last row
+    C[U_m'] - C[U_(m'-1)], with C[U_1] = 0, the substitution of
+    `phi_inverse_coeffs`, so an S-form s has s Psi = u C for
+    u = phi_inverse(s).  u C = 0 proves the relation u (Kronecker, with no
+    L-function; see `build_check_matrix`), and every relation has u C = 0,
+    as L(1, psi) != 0 for every even Dirichlet character psi.  So the
+    S-relations are the left kernel of Psi, and t = rank Psi.
     """
-    if m < 4:
-        raise ValueError("relation bases need m >= 4")
-    half = m // 2
-    fact = factorize(m)
-    lead = len(fact) + 1  # the log p columns and the sum column
-
-    def col(a: np.ndarray) -> np.ndarray:
-        r = a % m
-        return lead - 1 + np.minimum(r, m - r)
-
-    blocks = []
-    for d, _ in fact:
-        step = m // d
-        b = np.arange(1, step // 2 + 1)
-        rows = np.zeros((b.size, lead + half), np.int64)
-        at = np.arange(b.size)
-        np.add.at(rows, (at[:, None], col(b[:, None] + step * np.arange(d))), 1)
-        np.add.at(rows, (at, col(b * d)), -1)
-        rows[:, lead - 1] = d - 1
-        blocks.append(rows)
-    for i, (p, e) in enumerate(fact):
-        for k in range(1, e + 1):
-            q = p**k
-            a = np.arange(1, q)
-            row = np.zeros((1, lead + half), np.int64)
-            np.add.at(row[0], col(a[a % p != 0] * (m // q)), 1)
-            row[0, i] = -1
-            row[0, lead - 1] = q - q // p
-            blocks.append(row)
-    return np.vstack(blocks)
+    return phi_inverse_coeffs(build_check_matrix(m).T).T
 
 
-@dataclass(frozen=True)
-class IdentitySpan:
-    """The relations among S_1..S_m'-1 that the identities span, as one RREF.
+def dependence_rref(psi: np.ndarray) -> RrefResult:
+    """The RREF of Psi's rows as columns, last row first: rref(Psi[::-1].T).
 
-    Row i of `nums` is den times the S-block of the row of the RREF of the
-    identities (see `identity_span`) that pivots on S_(pivots[i] + 1), so
-    nums[i][pivots[i]] = den, the lcm of those rows' denominators, and
-    sum_j nums[i][j] S_(j+1) = 0 is a relation.  An integer vector s over
-    S_1..S_m'-1 lies in the span iff den s[f] = sum_i s[pivots[i]] nums[i][f]
-    at every free column f.
+    Column j stands for S_(m'-1-j).  Its pivots pick the free S-values
+    greedily from the right, t = rank Psi of them, so the free values are
+    the trailing S_(m'-t)..S_(m'-1) iff the pivots are 0..t-1.  A column j
+    without a pivot is a dependent S_d: row j of Psi, read from the bottom,
+    is sum_i R_i[j] times the rows of the pivots, so
+    S_d = sum_i R_i[j] S_(m'-1-pivots[i]) is a relation, and R_i[j] is 0
+    unless pivots[i] < j, that is unless the free value lies right of S_d.
+    So each relation S_d - sum_i R_i[j] S_(m'-1-pivots[i]) starts at S_d and
+    holds no other dependent value: together, d ascending, they are the
+    unique RREF of the S-relation space.  Nothing is cached.
     """
-
-    m: int
-    pivots: tuple[int, ...]
-    nums: list[list[int]]
-    den: int
-
-    @property
-    def free(self) -> list[int]:
-        """The columns without a pivot, ascending: t of them."""
-        pivot_set = set(self.pivots)
-        return [j for j in range(self.m // 2 - 1) if j not in pivot_set]
-
-
-def identity_span(m: int) -> IdentitySpan:
-    """The package's one elimination of `identity_rows(m)`, in S-coordinates.
-
-    The x-block of the rows is rewritten as (sum of the x-coefficients,
-    S_1..S_m'-1), the sum being the column just before it.  As
-    c -> (sum c, phi(c_2..c_m')) is a bijection, the rows of the one RREF
-    that pivot in the S block are the RREF of the relations among the S_d
-    that the identities span.  Every identity is a theorem (distribution or
-    norm), so each of those relations is true, whatever the completeness of
-    the identities.  Nothing is cached: callers keep what they need.
-    """
-    rows = identity_rows(m)
-    lead = rows.shape[1] - m // 2
-    ech = rref(np.hstack([rows[:, :lead], phi_coeffs(rows[:, lead + 1 :])]))
-    keep = [i for i, c in enumerate(ech.pivots) if c >= lead]
-    den = math.lcm(*(ech.dens[i] for i in keep))
-    nums = []
-    for i in keep:
-        scale = den // ech.dens[i]
-        nums.append(ech.nums[i][lead:] if scale == 1 else [x * scale for x in ech.nums[i][lead:]])
-    return IdentitySpan(m, tuple(ech.pivots[i] - lead for i in keep), nums, den)
+    return rref(psi[::-1].T)
 
 
 def identity_u_basis(m: int) -> RelationBasis:
-    """Basis of the relation space for any m >= 4, from cyclotomic identities.
+    """Basis of the relation space for any m >= 4, from the even-character table.
 
-    The rows of `identity_span(m)` are a basis of the S-relations the
-    identities span, mapped back to U-coordinates by `phi_inverse`.  They
-    are a basis of the U-relation space, complete, not only sound, as the
-    identities span every relation.  Each form is scaled to coprime integer
-    coefficients.
+    Each dependent S_d of `dependence_rref(s_check_matrix(m))`, d
+    ascending, gives the S-relation S_d - sum_i R_i[j] S_(m'-1-pivots[i]),
+    mapped back to U-coordinates by `phi_inverse_coeffs` and scaled to
+    coprime integer coefficients.  Those S-relations are the RREF of the
+    left kernel of `s_check_matrix(m)`, the relation space, so the forms
+    are a basis of it: sound by Kronecker, complete as L(1, psi) != 0.
     """
+    if m < 4:
+        raise ValueError("relation bases need m >= 4")
+    ech = dependence_rref(s_check_matrix(m))
+    last = ech.shape[1]  # m' - 1
+    pivots = list(ech.pivots)
+    dependent = sorted(set(range(last)) - set(pivots), reverse=True)
+    den = math.lcm(*ech.dens)
+    nums = np.array(ech.nums, dtype=object)
+    nums *= np.array([den // d for d in ech.dens], dtype=object)[:, None]
+    # den times the relations, one row per dependent, columns reversed
+    rels = np.zeros((len(dependent), last), dtype=object)
+    rels[np.arange(len(dependent)), dependent] = den
+    rels[:, pivots] = -nums[:, dependent].T
     forms = []
-    for row in identity_span(m).nums:
-        ints = [int(c) for c in phi_inverse(LinearForm(S_SPACE, m, tuple(row))).coeffs]
-        g = math.gcd(*ints)
-        forms.append(LinearForm(U_SPACE, m, tuple(x // g for x in ints)))
-    return RelationBasis(m, U_SPACE, tuple(forms), "identities")
+    for row in phi_inverse_coeffs(rels[:, ::-1]).tolist():
+        g = math.gcd(*row)
+        forms.append(LinearForm(U_SPACE, m, tuple(x // g for x in row)))
+    return RelationBasis(m, U_SPACE, tuple(forms), "characters")

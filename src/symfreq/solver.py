@@ -1,14 +1,12 @@
 """Relation-space linear algebra: elimination tables, dimensions, discovery.
 
-Elimination tables take their relations from the cyclotomic identities,
-eliminated once, in integers, in the S-coordinates
-(`relations.identity_span`).  The identities are exact and complete, so the
-t they report is the dimension of the span, with no numerics involved.
-
-The scan reads the closed-form even-character table of the certificate
-(`cyclotomic.build_check_matrix`) in S-coordinates instead, with no
+Elimination tables and the scan read the closed-form even-character table
+of the certificate (`cyclotomic.build_check_matrix`) in S-coordinates,
+`relations.s_check_matrix`.  Its left kernel is the S-relation space, so t
+is its rank, with no numerics involved.  `express_dependents` reads the one
+RREF of that table, `relations.dependence_rref`; the scan needs no
 elimination where its trailing block is proven nonsingular
-(`trailing_basis`).
+(`trailing_basis`), and that same RREF otherwise.
 
 Discovery (`discover_relations`, behind `symfreq discover`) is an
 independent numeric route to the same relation spaces.  It builds the
@@ -30,11 +28,9 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import frequencies
 from .balls import PrecisionContext, mpf_to_fraction
-from .cyclotomic import build_check_matrix, verify_u_relation
+from .cyclotomic import verify_u_relation
 from .intmath import euler_phi
 from .linalg import (
     LinearForm,
@@ -47,7 +43,13 @@ from .linalg import (
     stack_forms,
 )
 from .lll import lll_reduce
-from .relations import CASE_PRIME, RelationBasis, identity_span, modulus_profile
+from .relations import (
+    CASE_PRIME,
+    RelationBasis,
+    dependence_rref,
+    modulus_profile,
+    s_check_matrix,
+)
 
 
 # ----------------------------------------------------------------------
@@ -91,21 +93,27 @@ class ExpressionTable:
 def express_dependents(m: int) -> ExpressionTable:
     """Express the dependent S-values over the free ones.
 
-    Each row of `identity_span(m)`, the RREF of the S-relations, gives its
-    pivot S-value over the free columns.  The table is always produced from
-    the actual pivots; trailing_ok flags whether they were the leading
-    columns.
+    The rows are read from the one RREF of the character table,
+    `relations.dependence_rref(s_check_matrix(m))`: its pivots are the t
+    free values, picked greedily from the right, and each column j without
+    a pivot is a dependent S_(m'-1-j) over the free values right of it, one
+    coefficient per row.  The table is always produced from the actual
+    pivots; trailing_ok flags whether the free values were the trailing
+    S_(m'-t)..S_(m'-1).
     """
     if m < 4:
         raise ValueError("expression tables need m >= 4")
-    span = identity_span(m)
-    free = span.free
+    ech = dependence_rref(s_check_matrix(m))
+    last = ech.shape[1]  # m' - 1
+    pivots = set(ech.pivots)
+    rows = list(zip(ech.pivots, ech.nums, ech.dens))[::-1]
     table = tuple(
-        (p + 1, tuple((j + 1, Fraction(-row[j], span.den)) for j in free if row[j]))
-        for p, row in zip(span.pivots, span.nums)
+        (last - j, tuple((last - p, Fraction(row[j], den)) for p, row, den in rows if row[j]))
+        for j in reversed(range(last))
+        if j not in pivots
     )
-    trailing_ok = span.pivots == tuple(range(len(table)))
-    return ExpressionTable(m, len(free), table, trailing_ok, "identities")
+    trailing_ok = ech.pivots == tuple(range(ech.rank))
+    return ExpressionTable(m, ech.rank, table, trailing_ok, "characters")
 
 
 # ----------------------------------------------------------------------
@@ -247,44 +255,36 @@ class ScanRow:
 def trailing_basis(m: int) -> tuple[int, LinearForm | None]:
     """t, and a relation among S_{m'-t}..S_{m'-1} when those values are no basis of the span.
 
-    Psi is the check matrix C of `cyclotomic.build_check_matrix` in
-    S-coordinates: row S_d is 2 C[U_(d+1)] - C[U_d] - C[U_(d+2)] and the
-    last row C[U_m'] - C[U_(m'-1)], with C[U_1] = 0, the substitution of
-    `relations.phi_inverse`, so an S-form s has s Psi = u C for
-    u = phi_inverse(s).  u C = 0 proves the relation u (Kronecker, with no
-    L-function; see `build_check_matrix`), and every relation has u C = 0,
-    as L(1, psi) != 0 for every even Dirichlet character psi.  So t is the
-    rank of Psi, and the trailing values are a basis iff its trailing t
-    rows have rank t.
-
-    Psi has one column per tau_p and per unit b, t of them.  When its
-    trailing t x t block B is proven nonsingular
-    (`linalg.certify_nonsingular`, one float64 product), both hold, with
-    no elimination.  Otherwise `rref` settles them: t = rank Psi, and when
-    the trailing t rows are dependent, a vector s with s B = 0 read off the
-    RREF of B^T is returned as an integer S-form, a relation that
+    Psi = `relations.s_check_matrix(m)` has one column per tau_p and per
+    unit b, and its left kernel is the S-relation space, so t is its rank,
+    and the trailing values are a basis iff its trailing t rows have rank
+    t.  When its trailing t x t block B is proven nonsingular
+    (`linalg.certify_nonsingular`, one float64 product), both hold, with no
+    elimination.  Otherwise the one RREF `relations.dependence_rref(psi)`
+    settles them: t is its rank, and the trailing values are a basis iff
+    its pivots are 0..t-1.  Where they are not, its first column j < t
+    without a pivot is a trailing value S_(m'-1-j) that depends only on the
+    pivot columns left of j, all of them trailing values too; that
+    dependence is returned as the coprime integer S-form
+    -a S_d + sum_i b_i S_i with a > 0, d = m' - 1 - j, a relation that
     `verify_u_relation` accepts on u C = 0.  The table is built afresh on
     every call, so nothing is kept per modulus.
     """
-    check = build_check_matrix(m)
-    c = np.vstack([np.zeros_like(check[:1]), check])  # rows U_1..U_m'
-    psi = np.vstack([2 * c[1:-1] - c[:-2] - c[2:], c[-1:] - c[-2:-1]])
+    psi = s_check_matrix(m)
     t = psi.shape[1]
     if certify_nonsingular(psi[-t:]):
         return t, None
-    t = rref(psi).rank
-    ech = rref(psi[-t:].T)
-    if ech.rank == t:
+    ech = dependence_rref(psi)
+    t = ech.rank
+    j = next((j for j, p in enumerate(ech.pivots) if j != p), t)
+    if j == t:
         return t, None
-    # the first free column j of the RREF: s_j = den and s_p = -den R_p[j]
-    j = next(j for j, p in enumerate((*ech.pivots, t)) if j != p)
-    den = math.lcm(*ech.dens)
-    s = [0] * t
-    s[j] = den
-    for p, row, d in zip(ech.pivots, ech.nums, ech.dens):
-        s[p] = -row[j] * (den // d)
+    # column j is sum_i R_i[j] times the pivot columns i < j: s_j = -den,
+    # s_(pivots[i]) = den R_i[j], read from the bottom of Psi
+    den = math.lcm(*ech.dens[:j])
+    s = [den * row[j] // d for row, d in zip(ech.nums[:j], ech.dens[:j])] + [-den]
     g = math.gcd(*s)
-    return t, LinearForm(S_SPACE, m, (0,) * (len(psi) - t) + tuple(x // g for x in s))
+    return t, LinearForm(S_SPACE, m, (0,) * (len(psi) - j - 1) + tuple(x // g for x in s[::-1]))
 
 
 def scan_range(lo: int, hi: int) -> list[ScanRow]:

@@ -3,12 +3,13 @@
 `check_matrix` builds its table in closed form from even-character
 congruence counts and never eliminates.  This module builds a check matrix
 of the same kernel from the one elimination of the identities,
-`relations.identity_span`, so the two share nothing but the modulus.
+`identity_oracle.identity_span`, so the two share nothing but the modulus.
 """
 
 import numpy as np
 
-from symfreq.relations import identity_span, phi_coeffs
+from identity_oracle import identity_span
+from symfreq.relations import phi_coeffs
 
 
 def identity_annihilator(m: int) -> np.ndarray:

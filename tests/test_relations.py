@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from closed_form import closed_form_count
+from identity_oracle import identity_rows
 from symfreq.balls import PrecisionContext
-from symfreq.cyclotomic import check_matrix, verify_u_relation
+from symfreq.cyclotomic import build_check_matrix, check_matrix, verify_u_relation
 from symfreq.frequencies import evaluate_form
 from symfreq.linalg import LinearForm, S_SPACE, U_SPACE, rref, stack_forms
 from symfreq.relations import (
@@ -20,14 +21,15 @@ from symfreq.relations import (
     UnsupportedModulus,
     c_set,
     hset,
-    identity_rows,
     identity_u_basis,
     k_red,
     modulus_profile,
     phi_coeffs,
     phi_forward,
     phi_inverse,
+    phi_inverse_coeffs,
     prime_power_u_basis,
+    s_check_matrix,
     semiprime_u_basis,
     short_s_relation,
     two_p_u_basis,
@@ -166,6 +168,17 @@ class TestPhi:
             out = phi_coeffs(np.array(rows, dtype=np.int64))
             assert out.dtype == object and out.tolist() == [exact(r) for r in rows], rows
         assert phi_coeffs(np.array([[2**61] * 3])).tolist() == [[3 * 2**61, 5 * 2**61, 6 * 2**61]]
+
+    @pytest.mark.parametrize("m", [4, 5, 12, 27, 42, 105, 990])
+    def test_inverse_matrix_maps_rows_and_the_check_table(self, m):
+        # row by row it is phi_inverse, and s Psi = u C for u = phi_inverse(s),
+        # which needs the symmetry of the map
+        rng = np.random.default_rng(m)
+        s = rng.integers(-9, 10, size=(3, m // 2 - 1))
+        u = phi_inverse_coeffs(s)
+        for srow, urow in zip(s.tolist(), u.tolist()):
+            assert phi_inverse(LinearForm(S_SPACE, m, tuple(srow))).coeffs == tuple(map(F, urow))
+        assert (s @ s_check_matrix(m) == u @ build_check_matrix(m)).all()
 
 
 class TestPrimePowerBasis:
@@ -405,7 +418,7 @@ class TestIdentityBasis:
     def test_independent_coprime_integer_forms(self):
         for m in (12, 30, 45, 60):
             basis = identity_u_basis(m)
-            assert basis.provenance == "identities" and basis.space == U_SPACE
+            assert basis.provenance == "characters" and basis.space == U_SPACE
             assert rref(stack_forms(basis.forms)).rank == len(basis.forms)
             for f in basis.forms:
                 assert all(c.denominator == 1 for c in f.coeffs)

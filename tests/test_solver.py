@@ -6,6 +6,7 @@ import pytest
 from closed_form import closed_form_count
 from form_ops import form_add, form_scale
 from fraction_rref import fraction_rref
+from identity_oracle import identity_forms, identity_table
 from symfreq.balls import PrecisionContext
 from symfreq.intmath import euler_phi, factorize, is_prime
 from symfreq.cyclotomic import scaled_exponents, verify_u_relation
@@ -20,7 +21,13 @@ from symfreq.relations import (
     short_s_relation,
     u_basis,
 )
-from symfreq.solver import discover_relations, express_dependents, scan_range, trailing_basis
+from symfreq.solver import (
+    ExpressionTable,
+    discover_relations,
+    express_dependents,
+    scan_range,
+    trailing_basis,
+)
 
 M27_S_RELATIONS = [
     (1, 1, 0, -1, -2, -2, -3, -3, -3, -2, -2, -2),
@@ -73,7 +80,7 @@ class TestSRelationBasis:
 class TestExpress:
     def test_m27_table(self):
         table = express_dependents(27)
-        assert table.t == 9 and table.trailing_ok and table.method == "identities"
+        assert table.t == 9 and table.trailing_ok and table.method == "characters"
         assert table_as_dicts(table) == {
             d: {j: F(c) for j, c in row.items()} for d, row in M27_TABLE.items()
         }
@@ -145,10 +152,10 @@ class TestExpress:
                 assert not verify_u_relation(m, LinearForm(U_SPACE, m, tuple(ints))), (m, d)
 
     def test_discovered_fallback(self):
-        # outside the covered shapes the relations come from the identity
-        # engine; certified discovery must find the same span
+        # outside the covered shapes the relations come from the character
+        # table; certified discovery must find the same span
         table = express_dependents(12)
-        assert table.method == "identities"
+        assert table.method == "characters"
         assert table.t == 3 and table.trailing_ok
         assert same_span(identity_u_basis(12).forms, discover_relations(12, 512).basis.forms)
 
@@ -156,7 +163,7 @@ class TestExpress:
         for m in (12, 18, 20, 24):
             found = discover_relations(m, 512).basis.forms
             assert same_span(identity_u_basis(m).forms, found), m
-            assert express_dependents(m).method == "identities"
+            assert express_dependents(m).method == "characters"
 
 
 class TestClosedFormDimension:
@@ -256,13 +263,14 @@ class TestDiscovery:
 class TestOracleTables:
     def test_tables_match_fraction_oracle(self):
         # the two-step route: a U-basis (the constructed one where it exists,
-        # an engine independent of the identities), mapped to S, eliminated by
-        # Fraction Gauss-Jordan
+        # else the oracle's elimination of the identities, both independent of
+        # the character table), mapped to S, eliminated by Fraction
+        # Gauss-Jordan
         for m in range(4, 101):
             try:
                 forms = u_basis(m).forms
             except UnsupportedModulus:
-                forms = identity_u_basis(m).forms
+                forms = identity_forms(m)
             rows = [phi_forward(f).coeffs for f in forms]
             table = express_dependents(m)
             if not rows:
@@ -339,12 +347,13 @@ class TestScan:
         assert [(r.t, r.method) for r in rows] == [
             (10, "characters"), (29, "characters"), (16, "characters"), (19, "characters")
         ]
-        assert express_dependents(24).method == "identities"
+        assert express_dependents(24).method == "characters"
         assert scan_range(36, 36)[0].match
 
     def test_scan_keeps_no_per_modulus_state(self):
         # every scan op builds its table afresh; it fills no certificate cache
-        assert not hasattr(relations.identity_span, "cache_info")
+        assert not hasattr(relations.s_check_matrix, "cache_info")
+        assert not hasattr(relations.dependence_rref, "cache_info")
         assert not hasattr(cyclotomic.build_check_matrix, "cache_info")
         before = cyclotomic.check_matrix.cache_info().currsize
         scan_range(4, 120)
@@ -352,11 +361,20 @@ class TestScan:
 
     def test_scan_equals_the_identity_elimination_to_300(self):
         # two independent routes: the character table, its trailing block
-        # certified nonsingular or eliminated, against the one elimination of
-        # the cyclotomic identities
+        # certified nonsingular or eliminated, against the oracle's one
+        # elimination of the cyclotomic identities
         for row in scan_range(4, 300):
-            table = express_dependents(row.m)
-            assert (row.t, row.trailing_basis_ok) == (table.t, table.trailing_ok), row.m
+            t, _, trailing_ok = identity_table(row.m)
+            assert (row.t, row.trailing_basis_ok) == (t, trailing_ok), row.m
+
+    def test_express_and_identity_basis_equal_the_identity_elimination_to_300(self):
+        # the one RREF of the character table gives the same unique RREF of
+        # the relation space as the eliminated identities, row for row
+        for m in range(4, 301):
+            t, rows, trailing_ok = identity_table(m)
+            expect = ExpressionTable(m, t, rows, trailing_ok, "characters")
+            assert express_dependents(m).to_json() == expect.to_json(), m
+            assert identity_u_basis(m).forms == identity_forms(m), m
 
     def test_trailing_witnesses_are_certified_to_120(self):
         # each trailing failure comes with a nonzero S-relation on the trailing
@@ -390,5 +408,6 @@ class TestScan:
             {13: F(-1), 14: F(-2), 15: F(-2), 17: F(1), 18: F(2), 19: F(2), 20: F(2)},
         )
         assert verify_u_relation(42, phi_inverse(witness))
+        assert trailing_basis(42)[1] == witness
         table = express_dependents(42)
         assert table.t == 8 and not table.trailing_ok
