@@ -1,8 +1,9 @@
 """Constructive relation machinery: index reduction, the S/U change of
 coordinates, the explicit relation bases for the covered modulus shapes, and
 the relation engine for every modulus: the certificate's even-character
-table in S-coordinates (`s_check_matrix`), its one RREF
-(`dependence_rref`), and the basis read from it (`identity_u_basis`).
+table in S-coordinates (`s_check_matrix`), the relation space read from it
+(`RelationSpace`: t, the trailing flag and the RREF of the relations), and
+the basis read from that (`identity_u_basis`).
 
 Conventions, fixed once for the whole package:
 
@@ -16,6 +17,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ import numpy as np
 
 from .cyclotomic import build_check_matrix
 from .intmath import factorize, is_prime
-from .linalg import LinearForm, RrefResult, S_SPACE, U_SPACE, rref
+from .linalg import LinearForm, RrefResult, S_SPACE, U_SPACE, certify_nonsingular, rref
 
 
 class UnsupportedModulus(ValueError):
@@ -332,48 +334,82 @@ def s_check_matrix(m: int) -> np.ndarray:
     return phi_inverse_coeffs(build_check_matrix(m).T).T
 
 
-def dependence_rref(psi: np.ndarray) -> RrefResult:
-    """The RREF of Psi's rows as columns, last row first: rref(Psi[::-1].T).
+class RelationSpace:
+    """The S-relation space of modulus m, read from Psi = `s_check_matrix(m)`.
 
-    Column j stands for S_(m'-1-j).  Its pivots pick the free S-values
-    greedily from the right, t = rank Psi of them, so the free values are
-    the trailing S_(m'-t)..S_(m'-1) iff the pivots are 0..t-1.  A column j
-    without a pivot is a dependent S_d: row j of Psi, read from the bottom,
-    is sum_i R_i[j] times the rows of the pivots, so
-    S_d = sum_i R_i[j] S_(m'-1-pivots[i]) is a relation, and R_i[j] is 0
-    unless pivots[i] < j, that is unless the free value lies right of S_d.
-    So each relation S_d - sum_i R_i[j] S_(m'-1-pivots[i]) starts at S_d and
-    holds no other dependent value: together, d ascending, they are the
-    unique RREF of the S-relation space.  Nothing is cached.
+    The S-relations are the left kernel of Psi, so t = rank Psi, and the
+    trailing values S_(m'-t)..S_(m'-1) are a basis of the span iff Psi's
+    trailing t rows have rank t (`trailing_ok`).  Where the trailing block of
+    as many rows as Psi has columns is proven nonsingular
+    (`linalg.certify_nonsingular`), both hold with no elimination; otherwise
+    both are read from `echelon`, the RREF of Psi's rows as columns, last
+    row first.
+
+    There column j stands for S_(m'-1-j), and the pivots pick the t free
+    S-values greedily from the right, so the trailing values are a basis iff
+    the pivots are 0..t-1.  A column j without a pivot is a dependent S_d,
+    d = m'-1-j: row j of Psi, read from the bottom, is sum_i R_i[j] times the
+    rows of the pivots, and R_i[j] is 0 unless pivots[i] < j, so
+    S_d - sum_i R_i[j] S_(m'-1-pivots[i]) is a relation that starts at S_d
+    and holds no other dependent value.  Together, d ascending, they are the
+    unique RREF of the S-relation space (`relations`).  A False flag is
+    exact too: the first column j < t without a pivot depends only on pivot
+    columns left of it, so the last row of `relations` lies on trailing
+    values only.  `echelon` and `relations` are computed on first use and
+    kept on the instance only.
     """
-    return rref(psi[::-1].T)
+
+    def __init__(self, m: int):
+        self.psi = s_check_matrix(m)
+        self.t = self.psi.shape[1]
+        self.trailing_ok = certify_nonsingular(self.psi[-self.t:])
+        if not self.trailing_ok:
+            self.t = self.echelon.rank
+            self.trailing_ok = self.echelon.pivots == tuple(range(self.t))
+
+    @functools.cached_property
+    def echelon(self) -> RrefResult:
+        """rref(Psi[::-1].T), the RREF of Psi's rows as columns, last row first."""
+        return rref(self.psi[::-1].T)
+
+    @functools.cached_property
+    def relations(self) -> np.ndarray:
+        """The relations den S_d - sum_i den R_i[j] S_(m'-1-pivots[i]) as integer rows.
+
+        One row per dependent S_d, d ascending, over the columns
+        S_1..S_(m'-1), in an object array of Python ints; den > 0 is the lcm
+        of the RREF's denominators, so the first nonzero entry of a row is
+        its dependent's, den.  Empty, with no elimination, when t = m' - 1.
+        """
+        last = len(self.psi)  # m' - 1
+        if self.t == last:
+            return np.zeros((0, last), dtype=object)
+        ech = self.echelon
+        pivots = list(ech.pivots)
+        dependent = sorted(set(range(last)) - set(pivots), reverse=True)
+        den = math.lcm(*ech.dens)
+        nums = np.array(ech.nums, dtype=object)
+        nums *= np.array([den // d for d in ech.dens], dtype=object)[:, None]
+        # columns reversed, as in the RREF
+        rels = np.zeros((len(dependent), last), dtype=object)
+        rels[np.arange(len(dependent)), dependent] = den
+        rels[:, pivots] = -nums[:, dependent].T
+        return rels[:, ::-1]
 
 
 def identity_u_basis(m: int) -> RelationBasis:
     """Basis of the relation space for any m >= 4, from the even-character table.
 
-    Each dependent S_d of `dependence_rref(s_check_matrix(m))`, d
-    ascending, gives the S-relation S_d - sum_i R_i[j] S_(m'-1-pivots[i]),
-    mapped back to U-coordinates by `phi_inverse_coeffs` and scaled to
-    coprime integer coefficients.  Those S-relations are the RREF of the
-    left kernel of `s_check_matrix(m)`, the relation space, so the forms
-    are a basis of it: sound by Kronecker, complete as L(1, psi) != 0.
+    The rows of `RelationSpace(m).relations`, mapped back to U-coordinates
+    by `phi_inverse_coeffs` and scaled to coprime integer coefficients.
+    They are the RREF of the left kernel of `s_check_matrix(m)`, the
+    relation space, so the forms are a basis of it: sound by Kronecker,
+    complete as L(1, psi) != 0.
     """
     if m < 4:
         raise ValueError("relation bases need m >= 4")
-    ech = dependence_rref(s_check_matrix(m))
-    last = ech.shape[1]  # m' - 1
-    pivots = list(ech.pivots)
-    dependent = sorted(set(range(last)) - set(pivots), reverse=True)
-    den = math.lcm(*ech.dens)
-    nums = np.array(ech.nums, dtype=object)
-    nums *= np.array([den // d for d in ech.dens], dtype=object)[:, None]
-    # den times the relations, one row per dependent, columns reversed
-    rels = np.zeros((len(dependent), last), dtype=object)
-    rels[np.arange(len(dependent)), dependent] = den
-    rels[:, pivots] = -nums[:, dependent].T
     forms = []
-    for row in phi_inverse_coeffs(rels[:, ::-1]).tolist():
+    for row in phi_inverse_coeffs(RelationSpace(m).relations).tolist():
         g = math.gcd(*row)
         forms.append(LinearForm(U_SPACE, m, tuple(x // g for x in row)))
     return RelationBasis(m, U_SPACE, tuple(forms), "characters")

@@ -1,12 +1,12 @@
 """Relation-space linear algebra: elimination tables, dimensions, discovery.
 
-Elimination tables and the scan read the closed-form even-character table
-of the certificate (`cyclotomic.build_check_matrix`) in S-coordinates,
-`relations.s_check_matrix`.  Its left kernel is the S-relation space, so t
-is its rank, with no numerics involved.  `express_dependents` reads the one
-RREF of that table, `relations.dependence_rref`; the scan needs no
-elimination where its trailing block is proven nonsingular
-(`trailing_basis`), and that same RREF otherwise.
+Elimination tables and the scan are views of `relations.RelationSpace`,
+which reads the closed-form even-character table of the certificate
+(`cyclotomic.build_check_matrix`) in S-coordinates.  Its left kernel is the
+S-relation space, so t is its rank, with no numerics involved.
+`express_dependents` reads the relations, the RREF of that space; the scan
+reads t and the trailing flag, which need no elimination where the trailing
+block of the table is proven nonsingular.
 
 Discovery (`discover_relations`, behind `symfreq discover`) is an
 independent numeric route to the same relation spaces.  It builds the
@@ -28,28 +28,22 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import frequencies
 from .balls import PrecisionContext, mpf_to_fraction
 from .cyclotomic import verify_u_relation
 from .intmath import euler_phi
 from .linalg import (
     LinearForm,
-    S_SPACE,
     U_SPACE,
-    certify_nonsingular,
     format_terms,
     rat_to_str,
     rref,
     stack_forms,
 )
 from .lll import lll_reduce
-from .relations import (
-    CASE_PRIME,
-    RelationBasis,
-    dependence_rref,
-    modulus_profile,
-    s_check_matrix,
-)
+from .relations import CASE_PRIME, RelationBasis, RelationSpace, modulus_profile
 
 
 # ----------------------------------------------------------------------
@@ -93,27 +87,20 @@ class ExpressionTable:
 def express_dependents(m: int) -> ExpressionTable:
     """Express the dependent S-values over the free ones.
 
-    The rows are read from the one RREF of the character table,
-    `relations.dependence_rref(s_check_matrix(m))`: its pivots are the t
-    free values, picked greedily from the right, and each column j without
-    a pivot is a dependent S_(m'-1-j) over the free values right of it, one
-    coefficient per row.  The table is always produced from the actual
-    pivots; trailing_ok flags whether the free values were the trailing
+    Each row den S_d - sum_j c_j S_j of `relations.RelationSpace(m).relations`
+    gives S_d = sum_j (c_j / den) S_j, over the free values right of S_d,
+    picked greedily from the right.  The table is always produced from the
+    actual free values; trailing_ok flags whether they were the trailing
     S_(m'-t)..S_(m'-1).
     """
     if m < 4:
         raise ValueError("expression tables need m >= 4")
-    ech = dependence_rref(s_check_matrix(m))
-    last = ech.shape[1]  # m' - 1
-    pivots = set(ech.pivots)
-    rows = list(zip(ech.pivots, ech.nums, ech.dens))[::-1]
-    table = tuple(
-        (last - j, tuple((last - p, Fraction(row[j], den)) for p, row, den in rows if row[j]))
-        for j in reversed(range(last))
-        if j not in pivots
-    )
-    trailing_ok = ech.pivots == tuple(range(ech.rank))
-    return ExpressionTable(m, ech.rank, table, trailing_ok, "characters")
+    space = RelationSpace(m)
+    table = []
+    for row in space.relations:
+        d, *free = np.flatnonzero(row).tolist()
+        table.append((d + 1, tuple((j + 1, Fraction(-row[j], row[d])) for j in free)))
+    return ExpressionTable(m, space.t, tuple(table), space.trailing_ok, "characters")
 
 
 # ----------------------------------------------------------------------
@@ -252,46 +239,11 @@ class ScanRow:
         return asdict(self)
 
 
-def trailing_basis(m: int) -> tuple[int, LinearForm | None]:
-    """t, and a relation among S_{m'-t}..S_{m'-1} when those values are no basis of the span.
-
-    Psi = `relations.s_check_matrix(m)` has one column per tau_p and per
-    unit b, and its left kernel is the S-relation space, so t is its rank,
-    and the trailing values are a basis iff its trailing t rows have rank
-    t.  When its trailing t x t block B is proven nonsingular
-    (`linalg.certify_nonsingular`, one float64 product), both hold, with no
-    elimination.  Otherwise the one RREF `relations.dependence_rref(psi)`
-    settles them: t is its rank, and the trailing values are a basis iff
-    its pivots are 0..t-1.  Where they are not, its first column j < t
-    without a pivot is a trailing value S_(m'-1-j) that depends only on the
-    pivot columns left of j, all of them trailing values too; that
-    dependence is returned as the coprime integer S-form
-    -a S_d + sum_i b_i S_i with a > 0, d = m' - 1 - j, a relation that
-    `verify_u_relation` accepts on u C = 0.  The table is built afresh on
-    every call, so nothing is kept per modulus.
-    """
-    psi = s_check_matrix(m)
-    t = psi.shape[1]
-    if certify_nonsingular(psi[-t:]):
-        return t, None
-    ech = dependence_rref(psi)
-    t = ech.rank
-    j = next((j for j, p in enumerate(ech.pivots) if j != p), t)
-    if j == t:
-        return t, None
-    # column j is sum_i R_i[j] times the pivot columns i < j: s_j = -den,
-    # s_(pivots[i]) = den R_i[j], read from the bottom of Psi
-    den = math.lcm(*ech.dens[:j])
-    s = [den * row[j] // d for row, d in zip(ech.nums[:j], ech.dens[:j])] + [-den]
-    g = math.gcd(*s)
-    return t, LinearForm(S_SPACE, m, (0,) * (len(psi) - j - 1) + tuple(x // g for x in s[::-1]))
-
-
 def scan_range(lo: int, hi: int) -> list[ScanRow]:
     """Per-modulus dimension and trailing-basis report over a range.
 
-    Each row's t and trailing flag come from `trailing_basis`, and t is
-    compared against phi(m)/2 - 1 + omega(m).  Prime m lies outside the
+    Each row's t and trailing flag come from `relations.RelationSpace`, and
+    t is compared against phi(m)/2 - 1 + omega(m).  Prime m lies outside the
     formula's scope (formula_applies is False): there t = (p-3)/2.
     """
     if lo < 4 or hi < lo:
@@ -299,10 +251,9 @@ def scan_range(lo: int, hi: int) -> list[ScanRow]:
     out = []
     for m in range(lo, hi + 1):
         prof = modulus_profile(m)
-        t, witness = trailing_basis(m)
+        space = RelationSpace(m)
+        t, ok = space.t, space.trailing_ok
         formula = euler_phi(m) // 2 - 1 + len(prof.factorization)
         applies = prof.case != CASE_PRIME
-        out.append(
-            ScanRow(m, prof.case, t, formula, applies, t == formula, witness is None, "characters")
-        )
+        out.append(ScanRow(m, prof.case, t, formula, applies, t == formula, ok, "characters"))
     return out

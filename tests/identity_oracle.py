@@ -1,6 +1,6 @@
 """The cyclotomic identities, eliminated: an oracle for the relation engine.
 
-`relations.dependence_rref` reads the relation space off the closed-form
+`relations.RelationSpace` reads the relation space off the closed-form
 even-character table, whose completeness rests on L(1, psi) != 0.  This
 module reaches the same space another way: it writes down the distribution
 and norm identities among the numbers 1 - zeta_m^a, which span every

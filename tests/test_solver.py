@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from closed_form import closed_form_count
@@ -14,6 +16,7 @@ from symfreq.frequencies import evaluate_form
 from symfreq.linalg import LinearForm, S_SPACE, U_SPACE, rref, stack_forms
 from symfreq import cyclotomic, relations, solver
 from symfreq.relations import (
+    RelationSpace,
     UnsupportedModulus,
     identity_u_basis,
     phi_forward,
@@ -26,7 +29,6 @@ from symfreq.solver import (
     discover_relations,
     express_dependents,
     scan_range,
-    trailing_basis,
 )
 
 M27_S_RELATIONS = [
@@ -303,6 +305,21 @@ def expected_t(m):
     return euler_phi(m) // 2 - 1 + len(factorize(m))
 
 
+def trailing_witness(m):
+    """t, and the relation among the trailing values where they are no basis, else None.
+
+    Where the trailing flag is False, the last row of the RREF of the
+    relation space depends on trailing values only; it is returned negated
+    and coprime, -a S_d + sum_i b_i S_i with a > 0.
+    """
+    space = RelationSpace(m)
+    if space.trailing_ok:
+        return space.t, None
+    row = [-c for c in space.relations[-1].tolist()]
+    g = math.gcd(*row)
+    return space.t, LinearForm(S_SPACE, m, tuple(c // g for c in row))
+
+
 class TestScan:
     def test_finding_to_150(self):
         rows = scan_range(4, 150)
@@ -353,11 +370,28 @@ class TestScan:
     def test_scan_keeps_no_per_modulus_state(self):
         # every scan op builds its table afresh; it fills no certificate cache
         assert not hasattr(relations.s_check_matrix, "cache_info")
-        assert not hasattr(relations.dependence_rref, "cache_info")
         assert not hasattr(cyclotomic.build_check_matrix, "cache_info")
+        first, second = RelationSpace(42), RelationSpace(42)
+        assert first.relations is not second.relations
+        assert not np.shares_memory(first.relations, second.relations)
+        assert (first.relations == second.relations).all()
         before = cyclotomic.check_matrix.cache_info().currsize
         scan_range(4, 120)
         assert cyclotomic.check_matrix.cache_info().currsize == before
+
+    def test_no_elimination_where_the_trailing_block_is_certified(self, monkeypatch):
+        # at prime m Psi is square and its certified inverse settles t, the
+        # flag and the empty relation space; through m = 41 every trailing
+        # block is certified
+        def refuse(*args, **kwargs):
+            raise AssertionError("rref called where the trailing block is certified")
+
+        monkeypatch.setattr(relations, "rref", refuse)
+        for m in (101, 211):
+            table = express_dependents(m)
+            assert (table.t, table.trailing_ok, table.rows) == ((m - 3) // 2, True, ()), m
+            assert identity_u_basis(m).forms == (), m
+        assert all(r.trailing_basis_ok for r in scan_range(4, 41))
 
     def test_scan_equals_the_identity_elimination_to_300(self):
         # two independent routes: the character table, its trailing block
@@ -380,7 +414,7 @@ class TestScan:
         # each trailing failure comes with a nonzero S-relation on the trailing
         # values, which the certificate accepts; every other m has none
         for m in range(4, 121):
-            t, witness = trailing_basis(m)
+            t, witness = trailing_witness(m)
             assert t == expected_t(m), m
             if m not in TRAILING_FAILURES_TO_300:
                 assert witness is None, m
@@ -408,6 +442,6 @@ class TestScan:
             {13: F(-1), 14: F(-2), 15: F(-2), 17: F(1), 18: F(2), 19: F(2), 20: F(2)},
         )
         assert verify_u_relation(42, phi_inverse(witness))
-        assert trailing_basis(42)[1] == witness
+        assert trailing_witness(42)[1] == witness
         table = express_dependents(42)
         assert table.t == 8 and not table.trailing_ok
