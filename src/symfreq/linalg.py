@@ -1,6 +1,7 @@
 """Exact rational linear algebra: linear forms and the reduced row echelon form.
 
-Form coefficients are `fractions.Fraction`, which keeps every value in
+A `LinearForm` stores its coefficients as integers over one denominator
+and reads them out as `fractions.Fraction`, which keeps every value in
 canonical form (positive denominator, gcd-reduced).  The wire format for a
 rational is the string "p/q", or just "p" when q = 1, with a leading "-" for
 negatives; this is exactly what `str(Fraction)` produces.
@@ -68,32 +69,70 @@ def format_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
+_ZERO = Fraction(0)
+
+
+def _ratio(c) -> tuple[int, int]:
+    """Fraction(c) in lowest terms as a pair of Python ints, for numpy integers, floats and the like."""
+    f = Fraction(c)
+    return int(f.numerator), int(f.denominator)
+
+
+@dataclass(frozen=True, init=False)
 class LinearForm:
     """A rational linear form over the S- or U-variables of a fixed modulus.
 
     For modulus m with m' = floor(m/2), both spaces hold m' - 1 coefficients:
     S-space covers indices 1..m'-1 and U-space covers 2..m' (index 1 of the
     U-space is excluded; that variable is identically zero by convention).
+
+    The coefficients are stored as integers over one denominator: `den` is
+    the lcm of their reduced denominators and `nums` the coefficients times
+    `den`, so den > 0 and gcd(den, *nums) = 1.  That pair is unique to the
+    coefficient vector, so equality and hashing on (space, m, den, nums) are
+    equality of the rational coefficients.  `LinearForm(space, m, coeffs,
+    den=1)` is the form coeffs / den, for coeffs ints, Fractions or a mix and
+    den a positive int; all-int coefficients over den = 1 are stored as
+    given, with no Fraction built.  `coeffs`, the Fraction tuple, is built
+    only when it is read.
     """
 
     space: str
     m: int
-    coeffs: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.space not in (S_SPACE, U_SPACE):
-            raise ValueError(f"unknown space {self.space!r}")
-        if self.m < 4:
+    def __init__(self, space: str, m: int, coeffs: Iterable, den: int = 1):
+        if space not in (S_SPACE, U_SPACE):
+            raise ValueError(f"unknown space {space!r}")
+        if m < 4:
             raise ValueError("linear forms need a modulus m >= 4")
-        expected = self.m // 2 - 1
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
-        if len(coeffs) != expected:
+        if den < 1:
+            raise ValueError(f"denominator {den} is not positive")
+        nums = tuple(coeffs)
+        expected = m // 2 - 1
+        if len(nums) != expected:
             raise ValueError(
-                f"space {self.space} at m={self.m} needs {expected} coefficients, "
-                f"got {len(coeffs)}"
+                f"space {space} at m={m} needs {expected} coefficients, got {len(nums)}"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        types, scale = set(map(type, nums)), 1
+        if not types <= {int}:
+            if types <= {int, Fraction}:
+                pairs = [c.as_integer_ratio() for c in nums]
+            else:
+                pairs = list(map(_ratio, nums))
+            scale = math.lcm(*{d for _, d in pairs})
+            nums = tuple([n * (scale // d) for n, d in pairs] if scale != 1 else [n for n, _ in pairs])
+        if den != 1:
+            # gcd(scale, *nums) = 1, so only den can share a factor with nums
+            g = math.gcd(den, *nums)
+            if g != 1:
+                den, nums = den // g, tuple(n // g for n in nums)
+        den *= scale
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     @property
     def first_index(self) -> int:
@@ -101,11 +140,17 @@ class LinearForm:
 
     @property
     def last_index(self) -> int:
-        return self.first_index + len(self.coeffs) - 1
+        return self.first_index + len(self.nums) - 1
+
+    @functools.cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, every zero the one shared Fraction(0)."""
+        den = self.den
+        return tuple([Fraction(n, den) if n else _ZERO for n in self.nums])
 
     @classmethod
     def zero(cls, space: str, m: int) -> "LinearForm":
-        return cls(space, m, (Fraction(0),) * (m // 2 - 1))
+        return cls(space, m, (0,) * (m // 2 - 1))
 
     @classmethod
     def from_map(cls, space: str, m: int, coeffs: Mapping[int, Fraction]) -> "LinearForm":
@@ -115,7 +160,7 @@ class LinearForm:
         any other out-of-range index is an error.
         """
         first = 1 if space == S_SPACE else 2
-        vec = [Fraction(0)] * (m // 2 - 1)
+        vec = [0] * (m // 2 - 1)
         for idx, c in coeffs.items():
             idx = int(idx)
             if space == U_SPACE and idx == 1:
@@ -125,28 +170,25 @@ class LinearForm:
                     f"index {idx} out of range {first}..{first + len(vec) - 1} "
                     f"for space {space} at m={m}"
                 )
-            c, i = Fraction(c), idx - first
-            vec[i] = vec[i] + c if vec[i] else c  # adding to Fraction(0) is slow
-        return cls(space, m, tuple(vec))
+            vec[idx - first] += c if type(c) in (int, Fraction) else Fraction(c)
+        return cls(space, m, vec)
 
     def coeff(self, index: int) -> Fraction:
         if not self.first_index <= index <= self.last_index:
             raise ValueError(f"index {index} out of range")
-        return self.coeffs[index - self.first_index]
+        return Fraction(self.nums[index - self.first_index], self.den)
 
     def items(self) -> list[tuple[int, Fraction]]:
         """Nonzero (index, coefficient) pairs, index ascending."""
-        first = self.first_index
-        return [(first + i, c) for i, c in enumerate(self.coeffs) if c != 0]
+        first, den = self.first_index, self.den
+        return [(first + i, Fraction(n, den)) for i, n in enumerate(self.nums) if n]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def integer_coeffs(self) -> tuple[int, tuple[int, ...]]:
-        """(L, the coefficients times L), L the lcm of their denominators."""
-        nums, dens = zip(*map(Fraction.as_integer_ratio, self.coeffs))
-        scale = math.lcm(*dens)
-        return scale, nums if scale == 1 else tuple(e * (scale // d) for e, d in zip(nums, dens))
+        """(den, nums): the lcm L of the denominators and the coefficients times L."""
+        return self.den, self.nums
 
 
 def form_to_json(form: LinearForm, provenance: str | None = None) -> dict:

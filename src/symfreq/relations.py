@@ -21,7 +21,6 @@ import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -89,7 +88,8 @@ def phi_forward(uform: LinearForm) -> LinearForm:
     """Image of a U-space form in S-space."""
     if uform.space != U_SPACE:
         raise ValueError("phi_forward expects a U-space form")
-    return LinearForm(S_SPACE, uform.m, tuple(phi_coeffs(uform.coeffs)))
+    scale, x = uform.integer_coeffs()
+    return LinearForm(S_SPACE, uform.m, phi_coeffs(np.array(x, dtype=object)).tolist(), scale)
 
 
 def phi_coeffs(ucoeffs) -> np.ndarray:
@@ -136,14 +136,12 @@ def phi_inverse(sform: LinearForm) -> LinearForm:
     """Preimage of an S-space form under the change of coordinates.
 
     The substitution of `phi_inverse_coeffs` runs on the integer numerators
-    over the lcm of the denominators.
+    over their one denominator.
     """
     if sform.space != S_SPACE:
         raise ValueError("phi_inverse expects an S-space form")
     scale, x = sform.integer_coeffs()
-    zero = Fraction(0)
-    y = phi_inverse_coeffs(np.array(x, dtype=object)).tolist()
-    return LinearForm(U_SPACE, sform.m, tuple(Fraction(c, scale) if c else zero for c in y))
+    return LinearForm(U_SPACE, sform.m, phi_inverse_coeffs(np.array(x, dtype=object)).tolist(), scale)
 
 
 # ----------------------------------------------------------------------
@@ -168,11 +166,11 @@ def prime_power_u_basis(p: int, n: int) -> RelationBasis:
     m = p**n
     forms = []
     for r in range(1, n):
-        weight = Fraction(p**r - 1, p - 1)
+        weight = (p**r - 1) // (p - 1)
         for k in range(1, p ** (n - r) // 2 + 1):
             if k % p == 0 or (r == 1 and k == 1):
                 continue
-            acc: dict[int, Fraction] = defaultdict(Fraction)
+            acc: dict[int, int] = defaultdict(int)
             acc[k_red(m, p**r * k)] -= 1
             acc[p] += weight
             for j in range(1, m + 1, p ** (n - r)):
@@ -211,7 +209,7 @@ def _semiprime_block(m: int, p: int, q: int) -> list[LinearForm]:
     for k in hset(p, q):
         if k == 1:
             continue
-        acc: dict[int, Fraction] = defaultdict(Fraction)
+        acc: dict[int, int] = defaultdict(int)
         for j in c_set(m, p, q, k):
             acc[j] += 1
         for j in c1:
@@ -255,7 +253,7 @@ def two_p_u_basis(p: int) -> RelationBasis:
     m = 2 * p
     forms = []
     for k in range(3, p - 1, 2):
-        acc: dict[int, Fraction] = defaultdict(Fraction)
+        acc: dict[int, int] = defaultdict(int)
         acc[k] -= 1
         acc[p - 1] += 1
         acc[2 * k if 2 * k < p else 2 * (p - k)] += 1
@@ -279,7 +277,7 @@ def short_s_relation(m: int) -> LinearForm | None:
         j = (half - 1) // 3
         if j < 2:
             return None
-        coeffs = {j - 1: Fraction(-1), 2 * j - 2: Fraction(1), 2 * j - 1: Fraction(2)}
+        coeffs = {j - 1: -1, 2 * j - 2: 1, 2 * j - 1: 2}
     elif half % 3 == 2:
         j = (half + 1) // 3
         if j < 2:
@@ -287,8 +285,8 @@ def short_s_relation(m: int) -> LinearForm | None:
         # When 2j is the boundary index m'-1 (only j = 2, i.e. m = 10) the
         # symmetric frequency there is a single digit frequency, half of what
         # the generic sine pattern represents, so its coefficient doubles.
-        last = Fraction(2) if 2 * j == half - 1 else Fraction(1)
-        coeffs = {j - 1: Fraction(-1), 2 * j - 1: Fraction(2), 2 * j: last}
+        last = 2 if 2 * j == half - 1 else 1
+        coeffs = {j - 1: -1, 2 * j - 1: 2, 2 * j: last}
     else:
         return None
     return LinearForm.from_map(S_SPACE, m, coeffs)
@@ -339,11 +337,11 @@ class RelationSpace:
 
     The S-relations are the left kernel of Psi, so t = rank Psi, and the
     trailing values S_(m'-t)..S_(m'-1) are a basis of the span iff Psi's
-    trailing t rows have rank t (`trailing_ok`).  Where the trailing block of
-    as many rows as Psi has columns is proven nonsingular
-    (`linalg.certify_nonsingular`), both hold with no elimination; otherwise
-    both are read from `echelon`, the RREF of Psi's rows as columns, last
-    row first.
+    trailing t rows have rank t (`trailing_ok`).  Both are read from
+    `echelon`, the RREF of Psi's rows as columns, last row first, once it
+    exists.  Before that, the trailing block of as many rows as Psi has
+    columns is tried first: where `linalg.certify_nonsingular` proves it
+    nonsingular, both hold with no elimination.
 
     There column j stands for S_(m'-1-j), and the pivots pick the t free
     S-values greedily from the right, so the trailing values are a basis iff
@@ -355,17 +353,28 @@ class RelationSpace:
     unique RREF of the S-relation space (`relations`).  A False flag is
     exact too: the first column j < t without a pivot depends only on pivot
     columns left of it, so the last row of `relations` lies on trailing
-    values only.  `echelon` and `relations` are computed on first use and
-    kept on the instance only.
+    values only.  t, the flag, `echelon` and `relations` are computed on
+    first use and kept on the instance only.
     """
 
     def __init__(self, m: int):
         self.psi = s_check_matrix(m)
-        self.t = self.psi.shape[1]
-        self.trailing_ok = certify_nonsingular(self.psi[-self.t:])
-        if not self.trailing_ok:
-            self.t = self.echelon.rank
-            self.trailing_ok = self.echelon.pivots == tuple(range(self.t))
+
+    @functools.cached_property
+    def _rank_and_flag(self) -> tuple[int, bool]:
+        cols = self.psi.shape[1]
+        if "echelon" not in self.__dict__ and certify_nonsingular(self.psi[-cols:]):
+            return cols, True
+        ech = self.echelon
+        return ech.rank, ech.pivots == tuple(range(ech.rank))
+
+    @property
+    def t(self) -> int:
+        return self._rank_and_flag[0]
+
+    @property
+    def trailing_ok(self) -> bool:
+        return self._rank_and_flag[1]
 
     @functools.cached_property
     def echelon(self) -> RrefResult:
@@ -379,10 +388,12 @@ class RelationSpace:
         One row per dependent S_d, d ascending, over the columns
         S_1..S_(m'-1), in an object array of Python ints; den > 0 is the lcm
         of the RREF's denominators, so the first nonzero entry of a row is
-        its dependent's, den.  Empty, with no elimination, when t = m' - 1.
+        its dependent's, den.  Empty, with no elimination, when t = m' - 1;
+        where Psi has fewer columns than m' - 1 rows, t < m' - 1 needs no
+        proof, and the certificate is skipped.
         """
-        last = len(self.psi)  # m' - 1
-        if self.t == last:
+        last, cols = self.psi.shape  # m' - 1 rows
+        if cols == last and self.t == last:
             return np.zeros((0, last), dtype=object)
         ech = self.echelon
         pivots = list(ech.pivots)

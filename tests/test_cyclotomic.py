@@ -576,6 +576,17 @@ def test_check_matrix_past_int64(monkeypatch):
             assert verify_u_relation(m, LinearForm(U_SPACE, m, tuple(bumped))) is False
 
 
+def test_int64_gate_on_integer_coefficients():
+    # rows U_2..U_4 of the m = 30 table are divisible by 4, so for
+    # u = 2^62 e_(U_2) an int64 product u C wraps to 0; the gate on
+    # sum|u| max|C| sends it to Python ints, and the false claim is refused
+    check, _ = cyclotomic.check_matrix(30)
+    assert not (check[:3] % 4).any() and check[0].any()
+    u = (2**62,) + (0,) * 13
+    assert not (np.array(u, dtype=np.int64) @ check).any()
+    assert verify_u_relation(30, LinearForm(U_SPACE, 30, u)) is False
+
+
 @pytest.mark.parametrize("m", [12, 30])
 def test_large_exponents(m):
     # e x a relation plus another is a relation, with exponents near e and of

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -80,6 +81,49 @@ class TestLinearForm:
         u = LinearForm.from_map(U_SPACE, 10, {2: F(1)})
         v = LinearForm.from_map(U_SPACE, 10, {2: F(2), 3: F(1)})
         assert form_add(u, v).items() == [(2, F(3)), (3, F(1))]
+
+
+@given(
+    st.integers(min_value=4, max_value=24),
+    st.sampled_from([S_SPACE, U_SPACE]),
+    st.booleans(),
+    st.integers(min_value=1, max_value=36),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_forms_store_integers_over_one_denominator(m, space, integral, k, data):
+    # the same coefficients given as ints, Fractions, a mix, a map, integer
+    # numerators over a denominator or numpy integers build one form, which
+    # holds Python ints; (den, nums) is the lcm-of-denominators scaling,
+    # written out here
+    n = m // 2 - 1
+    values = st.integers(-50, 50).map(F) if integral else rationals
+    vals = data.draw(st.lists(values, min_size=n, max_size=n))
+    dens = [c.denominator for c in vals]
+    scale = math.lcm(*dens)
+    expect = (scale, tuple(c.numerator * (scale // d) for c, d in zip(vals, dens)))
+    first = 1 if space == S_SPACE else 2
+    forms = [
+        LinearForm(space, m, tuple(vals)),
+        LinearForm(space, m, [c.numerator if c.denominator == 1 else c for c in vals]),
+        LinearForm.from_map(space, m, {first + i: c for i, c in enumerate(vals) if c}),
+        LinearForm(space, m, [k * x for x in expect[1]], k * expect[0]),
+    ]
+    if integral:
+        forms.append(LinearForm(space, m, tuple(int(c) for c in vals)))
+        forms.append(LinearForm(space, m, np.array([int(c) for c in vals], dtype=np.int64)))
+    for form in forms:
+        assert form == forms[0] and hash(form) == hash(forms[0])
+        assert (form.den, form.nums) == form.integer_coeffs() == expect
+        assert all(type(x) is int for x in form.nums)
+        assert math.gcd(form.den, *form.nums) == 1
+        assert form.coeffs == tuple(vals) and all(type(c) is F for c in form.coeffs)
+        with pytest.raises(AttributeError):
+            form.den = 2
+        with pytest.raises(AttributeError):
+            form.coeffs = ()
+    if any(vals):
+        assert forms[0] != LinearForm(space, m, [2 * c for c in vals])
 
 
 class TestFormOps:

@@ -393,6 +393,20 @@ class TestScan:
             assert identity_u_basis(m).forms == (), m
         assert all(r.trailing_basis_ok for r in scan_range(4, 41))
 
+    def test_express_reads_t_and_the_flag_from_its_elimination(self, monkeypatch):
+        # at composite m the relations need the RREF, which settles t and the
+        # flag as well, so the trailing block is not certified; the scan's
+        # certified t and flag at m = 990 agree with the RREF's
+        expect = express_dependents(990).to_json()
+        row = scan_range(990, 990)[0]
+        assert (row.t, row.trailing_basis_ok) == (expect["t"], expect["trailing_basis_ok"])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify_nonsingular called where the RREF is computed")
+
+        monkeypatch.setattr(relations, "certify_nonsingular", refuse)
+        assert express_dependents(990).to_json() == expect
+
     def test_scan_equals_the_identity_elimination_to_300(self):
         # two independent routes: the character table, its trailing block
         # certified nonsingular or eliminated, against the oracle's one
