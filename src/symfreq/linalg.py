@@ -157,10 +157,12 @@ class LinearForm:
         """Build a form from an {index: coefficient} mapping.
 
         U-space index 1 is dropped silently (the corresponding value is 0);
-        any other out-of-range index is an error.
+        any other out-of-range index is an error.  The coefficients are
+        summed as integer numerators over the lcm of their denominators.
         """
         first = 1 if space == S_SPACE else 2
         vec = [0] * (m // 2 - 1)
+        terms = []
         for idx, c in coeffs.items():
             idx = int(idx)
             if space == U_SPACE and idx == 1:
@@ -170,8 +172,12 @@ class LinearForm:
                     f"index {idx} out of range {first}..{first + len(vec) - 1} "
                     f"for space {space} at m={m}"
                 )
-            vec[idx - first] += c if type(c) in (int, Fraction) else Fraction(c)
-        return cls(space, m, vec)
+            n, d = c.as_integer_ratio() if type(c) in (int, Fraction) else _ratio(c)
+            terms.append((idx - first, n, d))
+        den = math.lcm(*{d for _, _, d in terms})
+        for i, n, d in terms:
+            vec[i] += n * (den // d)
+        return cls(space, m, vec, den)
 
     def coeff(self, index: int) -> Fraction:
         if not self.first_index <= index <= self.last_index:

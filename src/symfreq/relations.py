@@ -26,7 +26,7 @@ import numpy as np
 
 from .cyclotomic import build_check_matrix
 from .intmath import factorize, is_prime
-from .linalg import LinearForm, RrefResult, S_SPACE, U_SPACE, certify_nonsingular, rref
+from .linalg import LinearForm, S_SPACE, U_SPACE, certify_nonsingular, rref
 
 
 class UnsupportedModulus(ValueError):
@@ -328,6 +328,41 @@ def s_check_matrix(m: int) -> np.ndarray:
     L-function; see `build_check_matrix`), and every relation has u C = 0,
     as L(1, psi) != 0 for every even Dirichlet character psi.  So the
     S-relations are the left kernel of Psi, and t = rank Psi.
+
+    Theorem: Psi has full column rank at every m >= 4, so t is its column
+    count, phi(m)/2 - 1 + omega(m) for composite m and (m - 3)/2 for prime
+    m.  (It is the rank of the universal even distribution in another
+    guise: Bass, Nagoya Math. J. 27, 1966; Kubert, Bull. SMF 107, 1979;
+    Washington, Introduction to Cyclotomic Fields, ch. 8.)  Proof.  Psi =
+    P C with P invertible, so rank Psi = rank C.  A claim u is the vector
+    c over x_1..x_m' with c_1 = -sum u, and u -> c is onto the sum-zero
+    vectors V; so rank C is the dimension of the span, as functionals on
+    V, of the columns c -> (c T)_j of `build_check_matrix`.
+
+    * G = (Z/m)^*/+-1 acts on V by permuting the k:
+      (b.c)_k = c_(k_red(b^-1 k)).  Its orbits are the f | m with f >= 2:
+      orbit f is {k : f_k = f}, a copy of (Z/f)^*/+-1 through k -> a_k.
+    * The unit columns span exactly the theta_psi, psi even and
+      nontrivial: column b is 2 sum_psi psi(b) theta_psi, theta_1
+      vanishes identically (so column 1, left out, is minus the sum of the
+      others), and the Fourier matrix of G is invertible.  There are
+      |G| - 1 of each.
+    * Each theta_psi is an eigenfunctional: theta_psi(b.c) is psi(b)
+      theta_psi(c) or psibar(b) theta_psi(c).  It is nonzero: the orbit
+      f = f_psi exists (f_psi | m, f_psi >= 3), its Euler product is
+      empty, and on c supported there theta_psi is c -> w_f sum c_k
+      psibar(a_k), not constant in k as psi is nontrivial mod +-1, so
+      nonzero on sum-zero c.  Nonzero eigenfunctionals with distinct
+      characters are independent.
+    * The tau_p are invariant (trivial character) and independent of each
+      other on V.  With two or more primes, c = e_(m/p^v) - e_1,
+      v = v_p(m), meets tau_p alone (f = p^v there, and f_1 = m is no
+      prime power).  For m = p^n, n >= 2, c = e_p - e_1 gives
+      w_p - w_1 != 0, as phi(p^(n-1)) != phi(p^n).  Prime m has no tau.
+
+    So rank C is the number of nontrivial even characters, plus omega(m)
+    for composite m: the column count.  Nothing here needs an L-function;
+    t as the dimension of the relation space needs L(1, psi) != 0, above.
     """
     return phi_inverse_coeffs(build_check_matrix(m).T).T
 
@@ -335,51 +370,38 @@ def s_check_matrix(m: int) -> np.ndarray:
 class RelationSpace:
     """The S-relation space of modulus m, read from Psi = `s_check_matrix(m)`.
 
-    The S-relations are the left kernel of Psi, so t = rank Psi, and the
-    trailing values S_(m'-t)..S_(m'-1) are a basis of the span iff Psi's
-    trailing t rows have rank t (`trailing_ok`).  Both are read from
-    `echelon`, the RREF of Psi's rows as columns, last row first, once it
-    exists.  Before that, the trailing block of as many rows as Psi has
-    columns is tried first: where `linalg.certify_nonsingular` proves it
-    nonsingular, both hold with no elimination.
+    The S-relations are the left kernel of Psi, which has full column rank
+    (`s_check_matrix`), so t is Psi's column count, with nothing computed.
+    The trailing values S_(m'-t)..S_(m'-1) are a basis of the span iff the
+    trailing t x t block B of Psi is nonsingular (`trailing_ok`): proven by
+    `linalg.certify_nonsingular` where it can, and else settled by the rank
+    of `rref(B)`.
 
-    There column j stands for S_(m'-1-j), and the pivots pick the t free
-    S-values greedily from the right, so the trailing values are a basis iff
-    the pivots are 0..t-1.  A column j without a pivot is a dependent S_d,
-    d = m'-1-j: row j of Psi, read from the bottom, is sum_i R_i[j] times the
-    rows of the pivots, and R_i[j] is 0 unless pivots[i] < j, so
+    `relations` is the unique RREF of the S-relation space, read from
+    rref(Psi[::-1].T), Psi's rows as columns, last row first.  There column
+    j stands for S_(m'-1-j), and the pivots pick the t free S-values
+    greedily from the right.  A column j without a pivot is a dependent
+    S_d, d = m'-1-j: row j of Psi, read from the bottom, is sum_i R_i[j]
+    times the rows of the pivots, and R_i[j] is 0 unless pivots[i] < j, so
     S_d - sum_i R_i[j] S_(m'-1-pivots[i]) is a relation that starts at S_d
-    and holds no other dependent value.  Together, d ascending, they are the
-    unique RREF of the S-relation space (`relations`).  A False flag is
-    exact too: the first column j < t without a pivot depends only on pivot
-    columns left of it, so the last row of `relations` lies on trailing
-    values only.  t, the flag, `echelon` and `relations` are computed on
-    first use and kept on the instance only.
+    and holds no other dependent value.  So the trailing values are a basis
+    iff every dependent d is at most m'-1-t; where one is not, the last
+    relation lies on trailing values only, a witness s with s B = 0.  The
+    flag and `relations` are computed on first use and kept on the
+    instance only.
     """
 
     def __init__(self, m: int):
         self.psi = s_check_matrix(m)
 
-    @functools.cached_property
-    def _rank_and_flag(self) -> tuple[int, bool]:
-        cols = self.psi.shape[1]
-        if "echelon" not in self.__dict__ and certify_nonsingular(self.psi[-cols:]):
-            return cols, True
-        ech = self.echelon
-        return ech.rank, ech.pivots == tuple(range(ech.rank))
-
     @property
     def t(self) -> int:
-        return self._rank_and_flag[0]
-
-    @property
-    def trailing_ok(self) -> bool:
-        return self._rank_and_flag[1]
+        return self.psi.shape[1]
 
     @functools.cached_property
-    def echelon(self) -> RrefResult:
-        """rref(Psi[::-1].T), the RREF of Psi's rows as columns, last row first."""
-        return rref(self.psi[::-1].T)
+    def trailing_ok(self) -> bool:
+        block = self.psi[-self.t :]
+        return certify_nonsingular(block) or rref(block).rank == self.t
 
     @functools.cached_property
     def relations(self) -> np.ndarray:
@@ -388,14 +410,16 @@ class RelationSpace:
         One row per dependent S_d, d ascending, over the columns
         S_1..S_(m'-1), in an object array of Python ints; den > 0 is the lcm
         of the RREF's denominators, so the first nonzero entry of a row is
-        its dependent's, den.  Empty, with no elimination, when t = m' - 1;
-        where Psi has fewer columns than m' - 1 rows, t < m' - 1 needs no
-        proof, and the certificate is skipped.
+        its dependent's, den.  Empty, with no elimination, when t = m' - 1
+        (prime m, m = 4, 6 and 9).  An RREF of rank other than t, which the
+        theorem of `s_check_matrix` rules out, raises ArithmeticError.
         """
-        last, cols = self.psi.shape  # m' - 1 rows
-        if cols == last and self.t == last:
+        last = len(self.psi)  # m' - 1
+        if self.t == last:
             return np.zeros((0, last), dtype=object)
-        ech = self.echelon
+        ech = rref(self.psi[::-1].T)
+        if ech.rank != self.t:
+            raise ArithmeticError(f"the character table has rank {ech.rank}, not {self.t}")
         pivots = list(ech.pivots)
         dependent = sorted(set(range(last)) - set(pivots), reverse=True)
         den = math.lcm(*ech.dens)

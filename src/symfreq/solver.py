@@ -3,10 +3,11 @@
 Elimination tables and the scan are views of `relations.RelationSpace`,
 which reads the closed-form even-character table of the certificate
 (`cyclotomic.build_check_matrix`) in S-coordinates.  Its left kernel is the
-S-relation space, so t is its rank, with no numerics involved.
-`express_dependents` reads the relations, the RREF of that space; the scan
-reads t and the trailing flag, which need no elimination where the trailing
-block of the table is proven nonsingular.
+S-relation space, so t is its column count, proven (`s_check_matrix`), with
+no numerics involved.  `express_dependents` reads the relations, the RREF
+of that space, and its trailing flag from their dependents; the scan reads
+t and the trailing flag, the nonsingularity of the table's trailing t x t
+block, which needs no elimination where that block is proven nonsingular.
 
 Discovery (`discover_relations`, behind `symfreq discover`) is an
 independent numeric route to the same relation spaces.  It builds the
@@ -91,7 +92,9 @@ def express_dependents(m: int) -> ExpressionTable:
     gives S_d = sum_j (c_j / den) S_j, over the free values right of S_d,
     picked greedily from the right.  The table is always produced from the
     actual free values; trailing_ok flags whether they were the trailing
-    S_(m'-t)..S_(m'-1).
+    S_(m'-t)..S_(m'-1), that is whether every dependent d is at most
+    m'-1-t.  At prime m, t = m'-1 leaves no dependent value, and neither a
+    certificate nor an elimination runs.
     """
     if m < 4:
         raise ValueError("expression tables need m >= 4")
@@ -100,7 +103,8 @@ def express_dependents(m: int) -> ExpressionTable:
     for row in space.relations:
         d, *free = np.flatnonzero(row).tolist()
         table.append((d + 1, tuple((j + 1, Fraction(-row[j], row[d])) for j in free)))
-    return ExpressionTable(m, space.t, tuple(table), space.trailing_ok, "characters")
+    lead = m // 2 - 1 - space.t
+    return ExpressionTable(m, space.t, tuple(table), all(d <= lead for d, _ in table), "characters")
 
 
 # ----------------------------------------------------------------------
@@ -242,9 +246,13 @@ class ScanRow:
 def scan_range(lo: int, hi: int) -> list[ScanRow]:
     """Per-modulus dimension and trailing-basis report over a range.
 
-    Each row's t and trailing flag come from `relations.RelationSpace`, and
-    t is compared against phi(m)/2 - 1 + omega(m).  Prime m lies outside the
-    formula's scope (formula_applies is False): there t = (p-3)/2.
+    Each row's t and trailing flag come from `relations.RelationSpace`: t
+    is the column count of the character table, a theorem at every m, and
+    the flag whether its trailing t x t block is nonsingular.  t is
+    compared against phi(m)/2 - 1 + omega(m); `match` is a corollary of the
+    theorem at every composite m, kept as a field of the row.  Prime m lies
+    outside the formula's scope (formula_applies is False): there
+    t = (p-3)/2.
     """
     if lo < 4 or hi < lo:
         raise ValueError("scan needs 4 <= from <= to")

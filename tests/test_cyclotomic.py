@@ -587,6 +587,44 @@ def test_int64_gate_on_integer_coefficients():
     assert verify_u_relation(30, LinearForm(U_SPACE, 30, u)) is False
 
 
+class _DtypeSpy(np.ndarray):
+    """A check matrix that records the dtype of each product it enters."""
+
+    seen: list = []
+
+    def astype(self, dtype, *args, **kwargs):
+        _DtypeSpy.seen.append(np.dtype(dtype))
+        return np.asarray(self).astype(dtype, *args, **kwargs)
+
+
+@pytest.mark.parametrize("m", [27, 30, 60])
+def test_int64_gate_boundary(monkeypatch, m):
+    # K times a relation, and that with one coefficient moved by +-1: with
+    # sum|u| max|C| just below 2^62 the product runs in int64, and from 2^62
+    # on in Python ints; the verdicts are right on both sides
+    real = cyclotomic.check_matrix
+    monkeypatch.setattr(cyclotomic, "check_matrix", lambda m: (real(m)[0].view(_DtypeSpy), real(m)[1]))
+    _, cmax = real(m)
+    limit = 1 << 62
+    row = identity_u_basis(m).forms[0].nums
+    l1 = sum(map(abs, row))
+    below = ((limit - 1) // cmax - 1) // l1
+    above = -(-limit // cmax) // l1 + 1
+    for scale, dtype in ((below, np.dtype(np.int64)), (above, np.dtype(object))):
+        vec = [scale * c for c in row]
+        claims = [(vec, True)]
+        for d in (-1, 1):
+            bumped = list(vec)
+            bumped[0] += d
+            claims.append((bumped, False))
+        for u, truth in claims:
+            size = sum(map(abs, u)) * cmax
+            assert (size < limit) == (dtype == np.int64) and abs(size - limit) <= (l1 + 2) * cmax
+            _DtypeSpy.seen.clear()
+            assert verify_u_relation(m, LinearForm(U_SPACE, m, tuple(u))) is truth
+            assert _DtypeSpy.seen == [dtype]
+
+
 @pytest.mark.parametrize("m", [12, 30])
 def test_large_exponents(m):
     # e x a relation plus another is a relation, with exponents near e and of

@@ -82,6 +82,20 @@ class TestLinearForm:
         v = LinearForm.from_map(U_SPACE, 10, {2: F(2), 3: F(1)})
         assert form_add(u, v).items() == [(2, F(3)), (3, F(1))]
 
+    def test_from_map_sums_integer_numerators(self, monkeypatch):
+        # ints, Fractions, numpy integers and duplicate indices are summed as
+        # integer numerators over one denominator, with no Fraction addition
+        def refuse(*args):
+            raise AssertionError("Fraction addition in from_map")
+
+        monkeypatch.setattr(F, "__add__", refuse)
+        monkeypatch.setattr(F, "__radd__", refuse)
+        coeffs = {"2": F(1, 6), 2: F(1, 3), 3: np.int64(2), 4: F(-3, 4), 1: F(5), 5: 0}
+        u = LinearForm.from_map(U_SPACE, 12, coeffs)
+        assert (u.den, u.nums) == (4, (2, 8, -3, 0, 0))
+        obj = {"m": 12, "space": "U", "coeffs": {"2": "1/2", "3": "2", "4": "-3/4", "6": "0"}}
+        assert form_from_json(obj) == u
+
 
 @given(
     st.integers(min_value=4, max_value=24),

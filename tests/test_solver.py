@@ -13,7 +13,7 @@ from symfreq.balls import PrecisionContext
 from symfreq.intmath import euler_phi, factorize, is_prime
 from symfreq.cyclotomic import scaled_exponents, verify_u_relation
 from symfreq.frequencies import evaluate_form
-from symfreq.linalg import LinearForm, S_SPACE, U_SPACE, rref, stack_forms
+from symfreq.linalg import LinearForm, RrefResult, S_SPACE, U_SPACE, rref, stack_forms
 from symfreq import cyclotomic, relations, solver
 from symfreq.relations import (
     RelationSpace,
@@ -380,23 +380,24 @@ class TestScan:
         assert cyclotomic.check_matrix.cache_info().currsize == before
 
     def test_no_elimination_where_the_trailing_block_is_certified(self, monkeypatch):
-        # at prime m Psi is square and its certified inverse settles t, the
-        # flag and the empty relation space; through m = 41 every trailing
-        # block is certified
+        # through m = 41 every trailing block is certified; where t = m' - 1
+        # (prime m, m = 4, 6 and 9) the relation space is empty, and express
+        # runs neither the certificate nor an elimination
         def refuse(*args, **kwargs):
-            raise AssertionError("rref called where the trailing block is certified")
+            raise AssertionError("certificate or elimination called where none is needed")
 
         monkeypatch.setattr(relations, "rref", refuse)
-        for m in (101, 211):
-            table = express_dependents(m)
-            assert (table.t, table.trailing_ok, table.rows) == ((m - 3) // 2, True, ()), m
-            assert identity_u_basis(m).forms == (), m
         assert all(r.trailing_basis_ok for r in scan_range(4, 41))
+        monkeypatch.setattr(relations, "certify_nonsingular", refuse)
+        for m in (4, 5, 6, 7, 9, 101, 211, 997):
+            table = express_dependents(m)
+            assert (table.t, table.trailing_ok, table.rows) == (m // 2 - 1, True, ()), m
+            assert identity_u_basis(m).forms == (), m
 
     def test_express_reads_t_and_the_flag_from_its_elimination(self, monkeypatch):
-        # at composite m the relations need the RREF, which settles t and the
-        # flag as well, so the trailing block is not certified; the scan's
-        # certified t and flag at m = 990 agree with the RREF's
+        # t is the table's column count, and express reads its flag from the
+        # dependents of its RREF, so the trailing block is not certified; the
+        # scan's flag at m = 990, the block's nonsingularity, agrees with it
         expect = express_dependents(990).to_json()
         row = scan_range(990, 990)[0]
         assert (row.t, row.trailing_basis_ok) == (expect["t"], expect["trailing_basis_ok"])
@@ -406,6 +407,48 @@ class TestScan:
 
         monkeypatch.setattr(relations, "certify_nonsingular", refuse)
         assert express_dependents(990).to_json() == expect
+
+    def test_t_is_the_column_count_with_nothing_computed(self, monkeypatch):
+        # the theorem of s_check_matrix: Psi has full column rank, so t is
+        # its column count, read with no certificate and no elimination
+        def refuse(*args, **kwargs):
+            raise AssertionError("t computed")
+
+        monkeypatch.setattr(relations, "certify_nonsingular", refuse)
+        monkeypatch.setattr(relations, "rref", refuse)
+        for m in range(4, 301):
+            assert RelationSpace(m).t == expected_t(m), m
+
+    def test_scan_reduces_only_the_trailing_block(self, monkeypatch):
+        # where certify_nonsingular leaves the trailing t x t block B open,
+        # rref reduces B alone, and only at the trailing failures to 62
+        real, seen = relations.rref, []
+
+        def spy(rows):
+            seen.append(np.array(rows))
+            return real(rows)
+
+        monkeypatch.setattr(relations, "rref", spy)
+        rows = scan_range(4, 62)
+        assert {r.m for r in rows if not r.trailing_basis_ok} == {42, 45, 50}
+        assert len(seen) == 3
+        for m, block in zip((42, 45, 50), seen):
+            t = expected_t(m)
+            assert block.shape == (t, t), m
+            assert (block == relations.s_check_matrix(m)[-t:]).all(), m
+
+    @pytest.mark.parametrize("m", [27, 42, 990])
+    def test_relations_check_their_rank_against_t(self, monkeypatch, m):
+        # an RREF of rank t - 1 contradicts the theorem and is refused
+        real = relations.rref
+
+        def short(rows):
+            ech = real(rows)
+            return RrefResult(ech.pivots[:-1], ech.nums[:-1], ech.dens[:-1], ech.shape)
+
+        monkeypatch.setattr(relations, "rref", short)
+        with pytest.raises(ArithmeticError):
+            RelationSpace(m).relations
 
     def test_scan_equals_the_identity_elimination_to_300(self):
         # two independent routes: the character table, its trailing block
