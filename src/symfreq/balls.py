@@ -1,25 +1,25 @@
-"""Certified real arithmetic on midpoint-radius balls.
+"""Certified real arithmetic on integer balls.
 
-Midpoints live on mpmath floats driven through the exact-input, one-rounding
-primitives (mpmath.fadd and friends, with explicit prec/rounding arguments),
-so the global mpmath context never matters.  Every rounding step contributes
-an explicit ulp bound to the radius, and radius bookkeeping always rounds
-upward at a fixed small precision.  Invariant maintained by every operation:
-the represented true value lies inside [mid - rad, mid + rad].
+A `RealBall` is the interval [lo, hi] / 2^F for integers lo <= hi, the
+format in which the integer fixed-point kernels below bound pi, ln 2, sin
+and log2 (the exact-integer balls of Arb; Johansson, IEEE Trans. Computers
+66, 2017).  Its `prec` is the number of bits it is printed at; `mid` and
+`rad` are exact Fractions.  Invariant maintained by every operation: the
+represented true value lies inside [lo, hi] / 2^F.
 
-Error-bound conventions used below:
+Rounding is outward, so no error term is tracked:
 
-* a nearest rounding of value v at precision p satisfies
-  |round(v) - v| <= 2^(mag(round(v)) - p), since mpmath.mag overestimates the
-  binary magnitude;
-* pi, ln 2, sin and log2 come from the integer fixed-point kernels below,
-  which bound a value from both sides in units of 2^-F; a ball is built
-  exactly from those bounds;
-* the exponential series is truncated when the next term's upper bound
-  drops below the target, and that bound is added to the radius;
-* the asymptotic log-Gamma series is truncated with the classical bound: for
-  real positive argument the remainder is no larger than the first omitted
-  term.
+* sums, differences, negation, integer multiples and scaling by 2^e are
+  exact;
+* products and quotients are computed exactly on the endpoints and rounded
+  to the finer scale of the operands, floor for lo and ceil for hi, as is
+  division by an int;
+* a binary operation's result is printed at the lower precision of its
+  operands;
+* the asymptotic log-Gamma series is summed term by term in units of
+  2^-F and truncated with the classical bound: for real positive argument
+  the remainder is no larger than the first omitted term, a whole number
+  of units.
 """
 
 from __future__ import annotations
@@ -29,13 +29,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
-from mpmath import libmp
-
-_RAD_PREC = 64  # all radius arithmetic at this precision, rounded up
-_ZERO = mpmath.mpf(0)
-_ONE = mpmath.mpf(1)
 
 MIN_PREC = 64
 DEFAULT_GUARD = 40
@@ -60,190 +53,119 @@ class PrecisionContext:
         return self.prec + self.guard
 
 
-def _mpf_from_int(n: int) -> mpmath.mpf:
-    return mpmath.mp.make_mpf(libmp.from_int(n))
-
-
-def _abs_exact(x) -> mpmath.mpf:
-    # abs()/unary minus on mpf round to the *global* context precision, so
-    # exact raw-tuple versions are used everywhere instead.
-    return mpmath.mp.make_mpf(libmp.mpf_abs(x._mpf_))
-
-
-def _neg_exact(x) -> mpmath.mpf:
-    return mpmath.mp.make_mpf(libmp.mpf_neg(x._mpf_))
-
-
-def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
-    """Exact value of a finite mpf as a Fraction."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if x == 0:
-            return Fraction(0)
-        raise ValueError("cannot convert a non-finite value")
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
-
-
-def _mag(x) -> int:
-    # Upper bound m with |x| <= 2^m; mpmath.mag may overestimate slightly,
-    # which is safe here.
-    m = mpmath.mag(x)
-    return int(m)
-
-
-def _round_err(x, prec: int) -> mpmath.mpf:
-    """Upper bound for the error of one nearest rounding that produced x."""
-    if x == 0:
-        return _ZERO
-    return mpmath.ldexp(_ONE, _mag(x) - prec)
-
-
-def _radd(*xs) -> mpmath.mpf:
-    acc = _ZERO
-    for x in xs:
-        if x != 0:
-            acc = mpmath.fadd(acc, x, prec=_RAD_PREC, rounding="u")
-    return acc
-
-
-def _rmul(a, b) -> mpmath.mpf:
-    # upper bound for |a*b|: away-from-zero rounding never shrinks magnitude
-    if a == 0 or b == 0:
-        return _ZERO
-    return _abs_exact(mpmath.fmul(a, b, prec=_RAD_PREC, rounding="u"))
-
-
 @dataclass(frozen=True)
 class RealBall:
-    """Midpoint-radius enclosure of a real number at a stated precision."""
+    """The enclosure [lo, hi] / 2^F of a real number, printed at prec bits."""
 
-    mid: mpmath.mpf
-    rad: mpmath.mpf
+    lo: int
+    hi: int
+    F: int
     prec: int
 
     def __post_init__(self):
-        if self.rad < 0:
-            raise ValueError("negative radius")
+        if self.lo > self.hi or self.F < 0:
+            raise ValueError("a ball needs lo <= hi and F >= 0")
+
+    @property
+    def mid(self) -> Fraction:
+        return Fraction(self.lo + self.hi, 2 << self.F)
+
+    @property
+    def rad(self) -> Fraction:
+        return Fraction(self.hi - self.lo, 2 << self.F)
 
     def contains_zero(self) -> bool:
-        return _abs_exact(self.mid) <= self.rad
+        return self.lo <= 0 <= self.hi
 
     def is_positive(self) -> bool:
         """Whether every point of the ball is > 0."""
-        return self.mid > 0 and mpmath.fsub(self.mid, self.rad, prec=_RAD_PREC, rounding="f") > 0
+        return self.lo > 0
 
-    def upper(self) -> mpmath.mpf:
-        return mpmath.fadd(self.mid, self.rad, prec=_RAD_PREC, rounding="c")
-
-    def lower(self) -> mpmath.mpf:
-        return mpmath.fsub(self.mid, self.rad, prec=_RAD_PREC, rounding="f")
-
-    def abs_upper(self) -> mpmath.mpf:
-        return mpmath.fadd(_abs_exact(self.mid), self.rad, prec=_RAD_PREC, rounding="u")
+    def abs_upper(self) -> Fraction:
+        return Fraction(max(-self.lo, self.hi), 1 << self.F)
 
     def contains_fraction(self, q) -> bool:
         """Exact membership test for a rational point."""
         q = Fraction(q)
-        return abs(mpf_to_fraction(self.mid) - q) <= mpf_to_fraction(self.rad)
+        return self.lo * q.denominator <= q.numerator << self.F <= self.hi * q.denominator
 
     def overlaps(self, other: "RealBall") -> bool:
-        gap = mpmath.fsub(self.mid, other.mid, prec=_RAD_PREC, rounding="u")
-        return _abs_exact(gap) <= _radd(self.rad, other.rad, _round_err(gap, _RAD_PREC))
+        _, alo, ahi, blo, bhi = _aligned(self, other)
+        return alo <= bhi and blo <= ahi
 
     def __repr__(self):
-        return f"RealBall({mpmath.nstr(self.mid, 20)} +/- {mpmath.nstr(self.rad, 4)}, prec={self.prec})"
+        return f"RealBall({float(self.mid)!r} +/- {float(self.rad):.3g}, prec={self.prec})"
 
 
-def ball_exact_zero(prec: int) -> RealBall:
-    return RealBall(_ZERO, _ZERO, prec)
-
-
-def ball_from_int(n: int, prec: int) -> RealBall:
-    return RealBall(_mpf_from_int(n), _ZERO, prec) if abs(n) < (1 << prec) else ball_from_fraction(Fraction(n), prec)
+def _aligned(a: RealBall, b: RealBall) -> tuple[int, int, int, int, int]:
+    """The finer scale F of a and b, and their ends in units of 2^-F."""
+    F = max(a.F, b.F)
+    sa, sb = F - a.F, F - b.F
+    return F, a.lo << sa, a.hi << sa, b.lo << sb, b.hi << sb
 
 
 def ball_from_fraction(q, prec: int) -> RealBall:
+    """The rational (or int) q in units of 2^-prec, rounded outward."""
     q = Fraction(q)
-    mid = mpmath.fdiv(q.numerator, q.denominator, prec=prec, rounding="n")
-    rad = _ZERO if mpf_to_fraction(mid) == q else _round_err(mid, prec)
-    return RealBall(mid, rad, prec)
+    n = q.numerator << prec
+    return RealBall(n // q.denominator, -(-n // q.denominator), prec, prec)
 
 
-def ball_add(a: RealBall, b: RealBall, prec: int) -> RealBall:
-    mid = mpmath.fadd(a.mid, b.mid, prec=prec, rounding="n")
-    return RealBall(mid, _radd(a.rad, b.rad, _round_err(mid, prec)), prec)
+def ball_add(a: RealBall, b: RealBall) -> RealBall:
+    F, alo, ahi, blo, bhi = _aligned(a, b)
+    return RealBall(alo + blo, ahi + bhi, F, min(a.prec, b.prec))
 
 
-def ball_sub(a: RealBall, b: RealBall, prec: int) -> RealBall:
-    mid = mpmath.fsub(a.mid, b.mid, prec=prec, rounding="n")
-    return RealBall(mid, _radd(a.rad, b.rad, _round_err(mid, prec)), prec)
+def ball_sub(a: RealBall, b: RealBall) -> RealBall:
+    F, alo, ahi, blo, bhi = _aligned(a, b)
+    return RealBall(alo - bhi, ahi - blo, F, min(a.prec, b.prec))
 
 
 def ball_neg(a: RealBall) -> RealBall:
-    return RealBall(_neg_exact(a.mid), a.rad, a.prec)
+    return RealBall(-a.hi, -a.lo, a.F, a.prec)
 
 
-def ball_mul(a: RealBall, b: RealBall, prec: int) -> RealBall:
-    mid = mpmath.fmul(a.mid, b.mid, prec=prec, rounding="n")
-    rad = _radd(
-        _rmul(a.mid, b.rad),
-        _rmul(b.mid, a.rad),
-        _rmul(a.rad, b.rad),
-        _round_err(mid, prec),
-    )
-    return RealBall(mid, rad, prec)
+def ball_mul(a: RealBall, b: RealBall) -> RealBall:
+    # the products are exact in units of 2^-(a.F + b.F)
+    ends = [x * y for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    lo, hi = _outward(min(ends), max(ends), min(a.F, b.F))
+    return RealBall(lo, hi, max(a.F, b.F), min(a.prec, b.prec))
 
 
-def ball_div(a: RealBall, b: RealBall, prec: int) -> RealBall:
-    babs = _abs_exact(b.mid)
-    blo = mpmath.fsub(babs, b.rad, prec=_RAD_PREC, rounding="f")
-    if blo <= 0:
+def ball_div(a: RealBall, b: RealBall) -> RealBall:
+    if b.lo <= 0 <= b.hi:
         raise ZeroDivisionError("division by a ball containing zero")
-    mid = mpmath.fdiv(a.mid, b.mid, prec=prec, rounding="n")
-    num = _radd(_rmul(a.mid, b.rad), _rmul(b.mid, a.rad))
-    if num != 0:
-        den = mpmath.fmul(babs, blo, prec=_RAD_PREC, rounding="d")
-        prop = mpmath.fdiv(num, den, prec=_RAD_PREC, rounding="u")
-    else:
-        prop = _ZERO
-    return RealBall(mid, _radd(prop, _round_err(mid, prec)), prec)
+    # 2^F (x / 2^a.F) / (y / 2^b.F) = (x 2^(F - a.F + b.F)) / y
+    F = max(a.F, b.F)
+    shift = F - a.F + b.F
+    ends = [(x << shift, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    lo = min(n // d for n, d in ends)
+    hi = max(-(-n // d) for n, d in ends)
+    return RealBall(lo, hi, F, min(a.prec, b.prec))
 
 
-def ball_mul_int(a: RealBall, n: int, prec: int) -> RealBall:
-    if n == 0:
-        return ball_exact_zero(prec)
-    mid = mpmath.fmul(a.mid, n, prec=prec, rounding="n")
-    return RealBall(mid, _radd(_rmul(a.rad, n), _round_err(mid, prec)), prec)
+def ball_mul_int(a: RealBall, n: int) -> RealBall:
+    lo, hi = a.lo * n, a.hi * n
+    return RealBall(min(lo, hi), max(lo, hi), a.F, a.prec)
 
 
-def ball_div_int(a: RealBall, n: int, prec: int) -> RealBall:
+def ball_div_int(a: RealBall, n: int) -> RealBall:
     if n == 0:
         raise ZeroDivisionError("division by zero")
-    mid = mpmath.fdiv(a.mid, n, prec=prec, rounding="n")
-    rad = mpmath.fdiv(a.rad, abs(n), prec=_RAD_PREC, rounding="u") if a.rad != 0 else _ZERO
-    return RealBall(mid, _radd(rad, _round_err(mid, prec)), prec)
+    lo, hi = (a.lo, a.hi) if n > 0 else (a.hi, a.lo)
+    return RealBall(lo // n, -(-hi // n), a.F, a.prec)
+
+
+def ball_mul_fraction(a: RealBall, q) -> RealBall:
+    q = Fraction(q)
+    return ball_div_int(ball_mul_int(a, q.numerator), q.denominator)
 
 
 def ball_scale_2exp(a: RealBall, e: int) -> RealBall:
-    return RealBall(mpmath.ldexp(a.mid, e), mpmath.ldexp(a.rad, e), a.prec)
-
-
-def ball_mul_fraction(a: RealBall, q, prec: int) -> RealBall:
-    q = Fraction(q)
-    if q == 0:
-        return ball_exact_zero(prec)
-    if q.denominator == 1:
-        return ball_mul_int(a, q.numerator, prec)
-    return ball_div_int(ball_mul_int(a, q.numerator, prec + 8), q.denominator, prec)
-
-
-def ball_inflate(a: RealBall, extra) -> RealBall:
-    return RealBall(a.mid, _radd(a.rad, extra), a.prec)
-
-
-def _restamp(a: RealBall, prec: int) -> RealBall:
-    return RealBall(a.mid, a.rad, prec)
+    """a 2^e, exactly: the ends shift for e >= 0, the scale for e < 0."""
+    if e >= 0:
+        return RealBall(a.lo << e, a.hi << e, a.F, a.prec)
+    return RealBall(a.lo, a.hi, a.F - e, a.prec)
 
 
 # ----------------------------------------------------------------------
@@ -363,27 +285,15 @@ def log2_fixed(y: int, F: int, bits: int) -> tuple[int, int]:
     return hi - 2, hi
 
 
-def _ball_from_fixed(lo: int, hi: int, F: int, prec: int) -> RealBall:
-    """The ball [lo, hi] / 2^F, exactly."""
-    return RealBall(
-        mpmath.mp.make_mpf(libmp.from_man_exp(lo + hi, -F - 1)),
-        mpmath.mp.make_mpf(libmp.from_man_exp(hi - lo, -F - 1)),
-        prec,
-    )
-
-
 def _log2_bounds(x: RealBall, bits: int) -> tuple[int, int]:
     """lo <= 2^bits log2 v <= hi for every v in a strictly positive ball.
 
-    The ends of the ball, rounded outward to F = bits + 3 bits, are
-    man 2^exp, and log2(man 2^exp) = log2(man / 2^F) + F + exp.
+    The ends of the ball are y / 2^F with F >= bits + 3, as the kernel
+    needs, and exact.
     """
-    F = bits + 3
-    _, man, exp, _ = libmp.mpf_sub(x.mid._mpf_, x.rad._mpf_, F, libmp.round_floor)
-    lo = log2_fixed(man, F, bits)[0] + ((F + exp) << bits)
-    _, man, exp, _ = libmp.mpf_add(x.mid._mpf_, x.rad._mpf_, F, libmp.round_ceiling)
-    hi = log2_fixed(man, F, bits)[1] + ((F + exp) << bits)
-    return lo, hi
+    F = max(x.F, bits + 3)
+    shift = F - x.F
+    return log2_fixed(x.lo << shift, F, bits)[0], log2_fixed(x.hi << shift, F, bits)[1]
 
 
 # ----------------------------------------------------------------------
@@ -393,13 +303,13 @@ def _log2_bounds(x: RealBall, bits: int) -> tuple[int, int]:
 def pi_ball(ctx: PrecisionContext) -> RealBall:
     """Enclosure of pi with radius at most 2^-prec."""
     F = ctx.wp + _KERNEL_GUARD
-    return _ball_from_fixed(*pi_fixed(F), F, ctx.prec)
+    return RealBall(*pi_fixed(F), F, ctx.prec)
 
 
-def _ln2_cached(wp: int) -> RealBall:
+def ln2_ball(ctx: PrecisionContext) -> RealBall:
     """Enclosure of ln 2 with radius at most 2^-wp."""
-    F = wp + _KERNEL_GUARD
-    return _ball_from_fixed(*ln2_fixed(F), F, wp)
+    F = ctx.wp + _KERNEL_GUARD
+    return RealBall(*ln2_fixed(F), F, ctx.prec)
 
 
 def ln_ball(x: RealBall, prec: int) -> RealBall:
@@ -413,7 +323,7 @@ def ln_ball(x: RealBall, prec: int) -> RealBall:
     ln2_lo, ln2_hi = ln2_fixed(F)
     lo *= ln2_hi if lo < 0 else ln2_lo
     hi *= ln2_lo if hi < 0 else ln2_hi
-    return _ball_from_fixed(*_outward(lo, hi, F), bits, prec)
+    return RealBall(*_outward(lo, hi, F), bits, prec)
 
 
 def log2_ball(x: RealBall, ctx: PrecisionContext) -> RealBall:
@@ -421,7 +331,7 @@ def log2_ball(x: RealBall, ctx: PrecisionContext) -> RealBall:
     if not x.is_positive():
         raise ValueError("log2 of a ball that is not strictly positive")
     bits = ctx.wp + _KERNEL_GUARD
-    return _ball_from_fixed(*_log2_bounds(x, bits), bits, ctx.prec)
+    return RealBall(*_log2_bounds(x, bits), bits, ctx.prec)
 
 
 def log2_of_fraction(q, ctx: PrecisionContext) -> RealBall:
@@ -447,7 +357,7 @@ def sin_pi_rational(a: int, b: int, ctx: PrecisionContext) -> RealBall:
         x -= 1
         sign = -1
     if x == 0:
-        return ball_exact_zero(ctx.prec)
+        return ball_from_fraction(0, ctx.prec)
     if x > Fraction(1, 2):
         x = 1 - x
     F = ctx.wp + _KERNEL_GUARD
@@ -459,7 +369,7 @@ def sin_pi_rational(a: int, b: int, ctx: PrecisionContext) -> RealBall:
     lo = sin_fixed(bottom, F)[0] if bottom else 0
     # past pi/2 (possible only for x = 1/2 or q near 2^F) 1 bounds sin
     hi = min(sin_fixed(top, F)[1], one) if 2 * top < pi_lo else one
-    res = _ball_from_fixed(lo, hi, F, ctx.prec)
+    res = RealBall(lo, hi, F, ctx.prec)
     return ball_neg(res) if sign < 0 else res
 
 
@@ -494,9 +404,13 @@ def lgamma_ball(a: int, b: int, ctx: PrecisionContext) -> RealBall:
     """Enclosure of ln Gamma(a/b) for a positive rational argument.
 
     Uses the asymptotic series at the lifted argument w = z + N, with N
-    chosen so the series converges to the working precision in ~wp/4 terms;
-    the remainder is bounded by the first omitted term (valid for real
-    positive w).  The lift is removed by one exact-Pochhammer logarithm:
+    chosen so the series converges to the working precision wp in ~wp/4
+    terms.  Each term B_2k / (2k (2k-1) w^(2k-1)) is exact as a rational
+    and enters the sum floored (lo) and ceiled (hi) in units of 2^-wp.  The
+    sum stops at the first term whose magnitude is at most r <= 1 units,
+    and r units on either side bound the remainder, since for real
+    positive w it is no larger than the first omitted term.
+    The lift is removed by one exact-Pochhammer logarithm:
     ln Gamma(z) = ln Gamma(z+N) - ln(z (z+1) ... (z+N-1)).
     """
     z = Fraction(a, b)
@@ -505,28 +419,28 @@ def lgamma_ball(a: int, b: int, ctx: PrecisionContext) -> RealBall:
     wp = ctx.wp + 24
     shift = max(0, wp // 3 + 10 - math.floor(z))
     w = z + shift
-    lnw = ln_ball(ball_from_fraction(w, wp), wp)
     # (w - 1/2) ln w - w + ln(2 pi)/2
-    acc = ball_mul(ball_from_fraction(w - Fraction(1, 2), wp), lnw, wp)
-    acc = ball_sub(acc, ball_from_fraction(w, wp), wp)
-    acc = ball_add(acc, ball_scale_2exp(_ln_2pi_cached(wp), -1), wp)
-    winv2 = Fraction(1) / (w * w)
-    t = ball_from_fraction(Fraction(1) / w, wp)  # w^(1-2k) at k = 1
+    acc = ball_mul_fraction(ln_ball(ball_from_fraction(w, wp), wp), w - Fraction(1, 2))
+    acc = ball_sub(acc, ball_from_fraction(w, wp))
+    acc = ball_add(acc, ball_scale_2exp(_ln_2pi_cached(wp), -1))
+    p, q = w.numerator, w.denominator
+    num, den = q << wp, p  # 2^wp w^(1-2k) at k = 1
+    lo = hi = 0
     k = 1
-    target = mpmath.ldexp(_ONE, -wp)
     while True:
         coeff = bernoulli_number(2 * k) / ((2 * k) * (2 * k - 1))
-        acc = ball_add(acc, ball_mul_fraction(t, coeff, wp), wp)
-        t = ball_mul_fraction(t, winv2, wp)
-        k += 1
-        nxt = bernoulli_number(2 * k) / ((2 * k) * (2 * k - 1))
-        bound = _rmul(t.abs_upper(), mpmath.fdiv(abs(nxt.numerator), nxt.denominator, prec=_RAD_PREC, rounding="u"))
-        if bound <= target:
-            acc = ball_inflate(acc, bound)
+        floor, rest = divmod(coeff.numerator * num, coeff.denominator * den)
+        r = max(-floor, floor + (rest > 0))  # units above |term|
+        if r <= 1:
             break
+        lo += floor
+        hi += floor + (rest > 0)
+        num *= q * q
+        den *= p * p
+        k += 1
+    acc = ball_add(acc, RealBall(lo - r, hi + r, wp, ctx.prec))
     if shift:
-        poch = Fraction(1)
-        for j in range(shift):
-            poch *= z + j
-        acc = ball_sub(acc, ln_ball(ball_from_fraction(poch, wp), wp), wp)
-    return _restamp(acc, ctx.prec)
+        # z (z+1) ... (z+N-1) = prod(p + j q) / q^N, with q = z.denominator
+        poch = Fraction(math.prod(range(z.numerator, z.numerator + shift * q, q)), q**shift)
+        acc = ball_sub(acc, ln_ball(ball_from_fraction(poch, wp), wp))
+    return acc

@@ -19,11 +19,9 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import mpmath
-
 from . import __version__
 from . import frequencies
-from .balls import PrecisionContext, RealBall, mpf_to_fraction
+from .balls import PrecisionContext, RealBall
 from .cyclotomic import scaled_exponents, verify_u_relation
 from .linalg import S_SPACE, U_SPACE, form_from_json, form_to_json, format_terms
 from .relations import UnsupportedModulus, phi_forward, phi_inverse, u_basis
@@ -42,29 +40,53 @@ class UsageError(ValueError):
 def ball_to_json(b: RealBall) -> dict:
     """A ball as decimal strings that still enclose its value.
 
-    The midpoint is printed to about b.prec bits; the printed radius covers
-    the ball's radius plus that printing error, rounded up.
+    The midpoint is printed to about b.prec bits, rounded to nearest; the
+    printed radius covers the ball's radius plus that printing error,
+    rounded up.
     """
-    digits = max(2, int(b.prec * 0.30103) + 2)
-    mid = mpmath.nstr(b.mid, digits)
-    bound = mpf_to_fraction(b.rad) + abs(Fraction(mid) - mpf_to_fraction(b.mid))
+    mid = decimal_nearest(b.mid, max(2, int(b.prec * 0.30103) + 2))
+    bound = b.rad + abs(Fraction(mid) - b.mid)
     return {"mid": mid, "rad": decimal_up(bound, 4), "bits": b.prec}
+
+
+def _decimal_digits(q: Fraction, sig: int, to_int) -> tuple[str, int]:
+    """The sig digits of q / 10^k > 0 rounded by to_int, and the exponent k + sig - 1."""
+    # q >= 2^(bits - 1), so this k makes n >= 10^sig; raise k until n has
+    # exactly sig digits
+    bits = q.numerator.bit_length() - q.denominator.bit_length()
+    k = math.floor((bits - 1) * math.log10(2)) - sig
+    n = to_int(q / Fraction(10) ** k)
+    while n >= 10**sig:
+        k += 1
+        n = to_int(q / Fraction(10) ** k)
+    return str(n), k + sig - 1
 
 
 def decimal_up(q: Fraction, sig: int) -> str:
     """The least decimal with sig significant digits that is >= q >= 0."""
     if q == 0:
         return "0.0"
-    # q >= 2^(bits - 1), so this k makes n >= 10^sig; raise k until n has
-    # exactly sig digits
-    bits = q.numerator.bit_length() - q.denominator.bit_length()
-    k = math.floor((bits - 1) * math.log10(2)) - sig
-    n = math.ceil(q / Fraction(10) ** k)
-    while n >= 10**sig:
-        k += 1
-        n = math.ceil(q / Fraction(10) ** k)
-    s = str(n)
-    return f"{s[0]}.{s[1:]}e{k + sig - 1}"
+    s, e = _decimal_digits(q, sig, math.ceil)
+    return f"{s[0]}.{s[1:]}e{e}"
+
+
+def decimal_nearest(q: Fraction, sig: int) -> str:
+    """The decimal with sig significant digits nearest to q, trailing zeros dropped.
+
+    It is printed in fixed point when the exponent e of its leading digit
+    has min(-(sig // 3), -5) < e < sig, and as d.ddde+e or d.ddde-e
+    otherwise.
+    """
+    if q == 0:
+        return "0.0"
+    s, e = _decimal_digits(abs(q), sig, round)
+    fixed = min(-(sig // 3), -5) < e < sig
+    if fixed:
+        s = "0" * -e + s
+    split = max(e, 0) + 1 if fixed else 1
+    out = (s[:split] + "." + s[split:]).rstrip("0")
+    exp = "" if fixed else f"e{'+' if e >= 0 else ''}{e}"
+    return f"{'-' if q < 0 else ''}{out}{'0' if out.endswith('.') else ''}{exp}"
 
 
 def _warn(warnings: list, message: str):

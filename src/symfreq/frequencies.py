@@ -1,6 +1,6 @@
 """Certified evaluation of digit-frequency values and relation residuals.
 
-Three families of numbers are produced, all as midpoint-radius balls:
+Three families of numbers are produced, all as `balls.RealBall` enclosures:
 
 * h_value(m, d): the asymptotic frequency of continued-fraction digits
   congruent to d mod m, through the log-Gamma closed form
@@ -11,7 +11,8 @@ Three families of numbers are produced, all as midpoint-radius balls:
 
 S- and U-values, and the residuals of forms over them, are integer
 combinations of one log-sine vector L(r, m) = log2 sin(pi r/m), whose
-entries are cached.
+entries are cached; a form is summed over its integer numerators and
+divided once by its denominator.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
 
 from . import balls
 from .balls import PrecisionContext, RealBall
@@ -54,15 +53,9 @@ def index_range(kind: str, m: int) -> tuple[int, int]:
 def h_value(m: int, d: int, ctx: PrecisionContext) -> RealBall:
     """Frequency of digits = d mod m via the Gamma closed form."""
     _check_index("H", m, d)
-    wp = ctx.wp
-    acc = balls.ball_add(
-        balls.lgamma_ball(d, m, PrecisionContext(wp, 0)),
-        balls.lgamma_ball(d + 2, m, PrecisionContext(wp, 0)),
-        wp,
-    )
-    mid_term = balls.lgamma_ball(d + 1, m, PrecisionContext(wp, 0))
-    acc = balls.ball_sub(acc, balls.ball_scale_2exp(mid_term, 1), wp)
-    return balls._restamp(balls.ball_div(acc, balls._ln2_cached(wp), wp), ctx.prec)
+    acc = balls.ball_add(balls.lgamma_ball(d, m, ctx), balls.lgamma_ball(d + 2, m, ctx))
+    acc = balls.ball_sub(acc, balls.ball_scale_2exp(balls.lgamma_ball(d + 1, m, ctx), 1))
+    return balls.ball_div(acc, balls.ln2_ball(ctx))
 
 
 @lru_cache(maxsize=None)
@@ -72,14 +65,14 @@ def log2_sine(r: int, m: int, wp: int) -> RealBall:
     return balls.log2_ball(balls.sin_pi_rational(r, m, ctx), ctx)
 
 
-def _log_sine_coeffs(space: str, m: int, items) -> dict[int, Fraction]:
-    """The coefficients a_r with sum(c_i value_i) = sum(a_r L(r, m)).
+def _log_sine_coeffs(space: str, m: int, items) -> dict[int, int]:
+    """The integers a_r with sum(c_i value_i) = sum(a_r L(r, m)), for integers c_i.
 
     U_k = L_k - L_1, so U_1 cancels exactly; S_d = 2 L_(d+1) - L_d - L_(d+2)
     for d < m'-1, and S_(m'-1) = L_m' - L_(m'-1).
     """
     half = m // 2
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for i, c in items:
         if space == U_SPACE:
             terms = ((i, c), (1, -c))
@@ -92,13 +85,18 @@ def _log_sine_coeffs(space: str, m: int, items) -> dict[int, Fraction]:
     return {r: a for r, a in out.items() if a}
 
 
-def _log_sine_sum(coeffs: dict, m: int, ctx: PrecisionContext) -> RealBall:
-    """The ball sum(a_r L(r, m)) at precision ctx.prec."""
-    wp = ctx.wp
-    acc = balls.ball_exact_zero(wp)
+def _log_sine_sum(coeffs: dict, m: int, ctx: PrecisionContext, den: int = 1) -> RealBall:
+    """The ball sum(a_r L(r, m)) / den, printed at ctx.prec bits."""
+    acc = balls.ball_from_fraction(0, ctx.prec)
     for r, a in coeffs.items():
-        acc = balls.ball_add(acc, balls.ball_mul_fraction(log2_sine(r, m, wp), a, wp), wp)
-    return balls._restamp(acc, ctx.prec)
+        acc = balls.ball_add(acc, balls.ball_mul_int(log2_sine(r, m, ctx.wp), a))
+    return balls.ball_div_int(acc, den)
+
+
+def _form_coeffs(form: LinearForm) -> dict[int, int]:
+    """The integers a_r with den sum(c_i value_i) = sum(a_r L(r, m)), den = form.den."""
+    first = form.first_index
+    return _log_sine_coeffs(form.space, form.m, [(first + i, n) for i, n in enumerate(form.nums) if n])
 
 
 def s_value(m: int, d: int, ctx: PrecisionContext) -> RealBall:
@@ -136,22 +134,23 @@ def evaluate_form(form: LinearForm, ctx: PrecisionContext) -> RealBall:
     A relation is numerically supported when the result contains zero with a
     radius small against the coefficient mass; see residual_report.
     """
-    return _log_sine_sum(_log_sine_coeffs(form.space, form.m, form.items()), form.m, ctx)
+    return _log_sine_sum(_form_coeffs(form), form.m, ctx, form.den)
 
 
 def residual_report(form: LinearForm, ctx: PrecisionContext) -> dict:
     """Residual ball plus the numeric-support verdict for a form.
 
-    Supported means: the ball contains zero and its radius is at most
-    2^-(prec - guard) * l1(a) * max|L_r|, over the coefficients a_r of the
-    form on the log-sine values L_r it is summed from, i.e. consistent with
-    an exact zero computed at this precision.
+    Supported means: the ball contains zero and its radius is at most the
+    tolerance 2^-(prec - guard) * l1(a) * max(1, max|L_r|), over the
+    coefficients a_r of the form on the log-sine values L_r it is summed
+    from, i.e. consistent with an exact zero computed at this precision.
+    The tolerance is an exact Fraction, |L_r| is bounded by the upper end
+    of its ball, and the comparison with the exact radius is exact.
     """
-    coeffs = _log_sine_coeffs(form.space, form.m, form.items())
-    residual = _log_sine_sum(coeffs, form.m, ctx)
-    l1 = sum(abs(a) for a in coeffs.values())
-    vmax = max([mpmath.mpf(1)] + [log2_sine(r, form.m, ctx.wp).abs_upper() for r in coeffs])
-    tol = mpmath.ldexp(mpmath.mpf(1), -(ctx.prec - ctx.guard))
-    tol = mpmath.fmul(tol, mpmath.fmul(vmax, mpmath.fdiv(l1.numerator, l1.denominator) if l1 else mpmath.mpf(1)), prec=53, rounding="u")
+    coeffs = _form_coeffs(form)
+    residual = _log_sine_sum(coeffs, form.m, ctx, form.den)
+    l1 = Fraction(sum(map(abs, coeffs.values())), form.den)
+    vmax = max([Fraction(1)] + [log2_sine(r, form.m, ctx.wp).abs_upper() for r in coeffs])
+    tol = l1 * vmax / 2 ** (ctx.prec - ctx.guard)
     supported = residual.contains_zero() and (form.is_zero() or residual.rad <= tol)
     return {"residual": residual, "supported": supported, "tolerance": tol}

@@ -40,20 +40,29 @@ def _is_digits(s: str) -> bool:
     return s.isascii() and s.isdigit()
 
 
-def rat_from_str(s: str) -> Fraction:
-    """The rational of a wire string, as Fraction(s.strip()) gives it.
+def ratio_from_str(s: str) -> tuple[int, int]:
+    """The rational of a wire string as integers (p, q), q > 0, not reduced.
 
     The wire forms "p" and "p/q", an optional sign and ASCII digits, are
     read with int alone, past Fraction's regular expression; every other
-    string goes to Fraction.  A zero q raises ZeroDivisionError either way.
+    string goes to Fraction(s.strip()).  A zero q raises ZeroDivisionError
+    either way.
     """
     num, slash, den = s.partition("/")
     if _is_digits(num[1:] if num[:1] in ("+", "-") else num):
         if not slash:
-            return Fraction(int(num))
+            return int(num), 1
         if _is_digits(den):
-            return Fraction(int(num), int(den))
-    return Fraction(s.strip())
+            q = int(den)
+            if not q:
+                raise ZeroDivisionError(f"Fraction({num}, 0)")
+            return int(num), q
+    return Fraction(s.strip()).as_integer_ratio()
+
+
+def rat_from_str(s: str) -> Fraction:
+    """The rational of a wire string, as Fraction(s.strip()) gives it."""
+    return Fraction(*ratio_from_str(s))
 
 
 def format_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
@@ -73,7 +82,9 @@ _ZERO = Fraction(0)
 
 
 def _ratio(c) -> tuple[int, int]:
-    """Fraction(c) in lowest terms as a pair of Python ints, for numpy integers, floats and the like."""
+    """Fraction(c) in lowest terms as a pair of Python ints, for ints, Fractions, numpy integers, floats and the like."""
+    if type(c) in (int, Fraction):
+        return c.as_integer_ratio()
     f = Fraction(c)
     return int(f.numerator), int(f.denominator)
 
@@ -117,10 +128,7 @@ class LinearForm:
             )
         types, scale = set(map(type, nums)), 1
         if not types <= {int}:
-            if types <= {int, Fraction}:
-                pairs = [c.as_integer_ratio() for c in nums]
-            else:
-                pairs = list(map(_ratio, nums))
+            pairs = list(map(_ratio, nums))
             scale = math.lcm(*{d for _, d in pairs})
             nums = tuple([n * (scale // d) for n, d in pairs] if scale != 1 else [n for n, _ in pairs])
         if den != 1:
@@ -160,10 +168,15 @@ class LinearForm:
         any other out-of-range index is an error.  The coefficients are
         summed as integer numerators over the lcm of their denominators.
         """
+        return cls._from_ratios(space, m, [(idx, _ratio(c)) for idx, c in coeffs.items()])
+
+    @classmethod
+    def _from_ratios(cls, space: str, m: int, ratios: Iterable[tuple[int, tuple[int, int]]]) -> "LinearForm":
+        """`from_map` over (index, (numerator, denominator > 0)) pairs."""
         first = 1 if space == S_SPACE else 2
         vec = [0] * (m // 2 - 1)
         terms = []
-        for idx, c in coeffs.items():
+        for idx, (n, d) in ratios:
             idx = int(idx)
             if space == U_SPACE and idx == 1:
                 continue
@@ -172,7 +185,6 @@ class LinearForm:
                     f"index {idx} out of range {first}..{first + len(vec) - 1} "
                     f"for space {space} at m={m}"
                 )
-            n, d = c.as_integer_ratio() if type(c) in (int, Fraction) else _ratio(c)
             terms.append((idx - first, n, d))
         den = math.lcm(*{d for _, _, d in terms})
         for i, n, d in terms:
@@ -214,10 +226,10 @@ def form_from_json(obj: Mapping) -> LinearForm:
         if isinstance(m, bool) or not isinstance(m, int):
             raise ValueError(f"modulus {m!r} is not an integer")
         space = str(obj["space"])
-        coeffs = {int(k): rat_from_str(str(v)) for k, v in obj["coeffs"].items()}
+        ratios = {int(k): ratio_from_str(str(v)) for k, v in obj["coeffs"].items()}
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed relation object: {exc}") from exc
-    return LinearForm.from_map(space, m, coeffs)
+    return LinearForm._from_ratios(space, m, ratios.items())
 
 
 @dataclass(frozen=True)

@@ -373,7 +373,8 @@ class RelationSpace:
     The S-relations are the left kernel of Psi, which has full column rank
     (`s_check_matrix`), so t is Psi's column count, with nothing computed.
     The trailing values S_(m'-t)..S_(m'-1) are a basis of the span iff the
-    trailing t x t block B of Psi is nonsingular (`trailing_ok`): proven by
+    trailing t x t block B of Psi is nonsingular (`trailing_ok`): true with
+    nothing computed when t = m' - 1, where B is all of Psi; else proven by
     `linalg.certify_nonsingular` where it can, and else settled by the rank
     of `rref(B)`.
 
@@ -400,6 +401,8 @@ class RelationSpace:
 
     @functools.cached_property
     def trailing_ok(self) -> bool:
+        if self.t == len(self.psi):
+            return True  # B is all of Psi, square and of full column rank
         block = self.psi[-self.t :]
         return certify_nonsingular(block) or rref(block).rank == self.t
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import frequencies
-from .balls import PrecisionContext, mpf_to_fraction
+from .balls import PrecisionContext
 from .cyclotomic import verify_u_relation
 from .intmath import euler_phi
 from .linalg import (
@@ -124,8 +124,7 @@ class DiscoveryReport:
 
 def _scaled_int(value, shift: int) -> int:
     """Nearest integer to value * 2^shift, from the exact ball midpoint."""
-    frac = mpf_to_fraction(value.mid) * Fraction(2) ** shift
-    return round(frac)
+    return round(value.mid * 2**shift)
 
 
 def _free_indices(m: int, forms: list[LinearForm]) -> list[int]:
@@ -185,7 +184,7 @@ def discover_relations(m: int, precision: int = 256, bound: int = 10**6) -> Disc
                 continue
             if max(map(abs, coeffs)) > bound:
                 continue
-            form = LinearForm.from_map(U_SPACE, m, {k: Fraction(c) for k, c in zip(free, coeffs)})
+            form = LinearForm.from_map(U_SPACE, m, dict(zip(free, coeffs)))
             if form.is_zero():
                 continue
             if not frequencies.evaluate_form(form, ctx).contains_zero():

@@ -5,41 +5,36 @@ trips such as exp(ln q) containing q and the reflection formula for
 log-Gamma.
 """
 
-import mpmath
-
 from symfreq.balls import (
     RealBall,
-    _ONE,
-    _mag,
-    _restamp,
-    _rmul,
     ball_add,
     ball_div_int,
-    ball_from_int,
-    ball_inflate,
+    ball_from_fraction,
     ball_mul,
     ball_scale_2exp,
 )
 
 
 def exp_ball(x: RealBall, prec: int) -> RealBall:
-    """Enclosure of exp over the input ball."""
+    """Enclosure of exp over the input ball.
+
+    The Taylor series runs on y = x / 2^s with |y| <= 1/16, so from the
+    first term below 2^-(wp+4) on the tail is under twice that term; s
+    squarings undo the scaling.
+    """
     wp = prec + 10
-    xu = x.abs_upper()
-    s = max(0, _mag(xu) + 4) if xu != 0 else 0
+    s = (max(-x.lo, x.hi) >> x.F).bit_length() + 4
     y = ball_scale_2exp(x, -s)
-    term = ball_from_int(1, wp)
-    acc = term
+    term = acc = ball_from_fraction(1, wp)
     k = 1
-    target = mpmath.ldexp(_ONE, -(wp + 4))
     while True:
-        term = ball_div_int(ball_mul(term, y, wp), k, wp)
-        bound = term.abs_upper()
-        if bound <= target:
-            acc = ball_inflate(acc, _rmul(bound, mpmath.mpf(2)))
+        term = ball_div_int(ball_mul(term, y), k)
+        units = max(-term.lo, term.hi)
+        if units << (wp + 4) <= 1 << term.F:
+            acc = ball_add(acc, RealBall(-2 * units, 2 * units, term.F, wp))
             break
-        acc = ball_add(acc, term, wp)
+        acc = ball_add(acc, term)
         k += 1
     for _ in range(s):
-        acc = ball_mul(acc, acc, wp)
-    return _restamp(acc, prec)
+        acc = ball_mul(acc, acc)
+    return acc

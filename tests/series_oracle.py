@@ -10,10 +10,9 @@ the tail bound (1/ln 2)/J, so the tests can compare the two routes.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-import mpmath
 import numpy as np
-from mpmath import libmp
 
 from symfreq.balls import RealBall
 
@@ -41,7 +40,7 @@ def h_series(m: int, d: int, terms: int) -> RealBall:
     tail = 1.0 / (math.log(2) * terms)
     rounding = 18.0 * k * 2.0**-53 + 2.0**-50
     rad = tail + rounding
-    # floats convert to mpf exactly through the raw layer, independent of the
-    # global mpmath precision
-    make = mpmath.mp.make_mpf
-    return RealBall(make(libmp.from_float(mid)), make(libmp.from_float(rad)), 53)
+    # every double is an integer multiple of 2^-1074, so the ends are exact
+    F = 1074
+    lo, hi = (Fraction(mid) - Fraction(rad)) * 2**F, (Fraction(mid) + Fraction(rad)) * 2**F
+    return RealBall(math.floor(lo), math.ceil(hi), F, 53)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,24 +7,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ball_exp import exp_ball
+from mpf_fraction import mpf_to_fraction
 from symfreq import balls
 from symfreq.balls import (
     PrecisionContext,
     RealBall,
     ball_add,
     ball_div,
-    ball_exact_zero,
+    ball_div_int,
     ball_from_fraction,
-    ball_from_int,
     ball_mul,
     ball_mul_fraction,
+    ball_mul_int,
+    ball_neg,
+    ball_scale_2exp,
     ball_sub,
     bernoulli_number,
     lgamma_ball,
     ln_ball,
     log2_ball,
     log2_of_fraction,
-    mpf_to_fraction,
     pi_ball,
     sin_pi_rational,
 )
@@ -37,15 +40,27 @@ LGAMMA_THIRD = "0.98542064692776706918717403697796139173555649638588585423475701
 LN2 = "0.69314718055994530941723212145817656807550013436025525412068000949339362196969471560586332699641868754200148102057068573368552"
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+any_ball = st.builds(
+    lambda lo, width, scale, prec: RealBall(lo, lo + width, scale, prec),
+    st.integers(-(2**90), 2**90),
+    st.integers(0, 2**40),
+    st.integers(0, 80),
+    st.integers(64, 128),
+)
 
 
-def contains_decimal(ball, digits, slack=0):
+def ends(b):
+    return F(b.lo, 2**b.F), F(b.hi, 2**b.F)
+
+
+def contains_decimal(ball, digits):
     """Whether the ball contains the number given by a long decimal string."""
-    with mpmath.workprec(600):
-        val = mpmath.mpf(digits)
-        lo = ball.mid - ball.rad - slack
-        hi = ball.mid + ball.rad + slack
-        return lo <= val <= hi
+    return ball.contains_fraction(F(digits))
+
+
+def contains_mpf(ball, val):
+    """Whether the ball contains the exact value of an mpmath reference."""
+    return ball.contains_fraction(mpf_to_fraction(val))
 
 
 class TestContext:
@@ -60,7 +75,7 @@ class TestContext:
 class TestBallBasics:
     def test_from_fraction_exact_dyadic(self):
         b = ball_from_fraction(F(3, 8), 128)
-        assert b.rad == 0 and mpf_to_fraction(b.mid) == F(3, 8)
+        assert b.rad == 0 and b.mid == F(3, 8)
 
     def test_from_fraction_contains(self):
         b = ball_from_fraction(F(1, 3), 128)
@@ -75,22 +90,53 @@ class TestBallBasics:
     def test_add_mul_containment(self, a, b):
         prec = 80
         ba, bb = ball_from_fraction(a, prec), ball_from_fraction(b, prec)
-        assert ball_add(ba, bb, prec).contains_fraction(a + b)
-        assert ball_sub(ba, bb, prec).contains_fraction(a - b)
-        assert ball_mul(ba, bb, prec).contains_fraction(a * b)
-        assert ball_mul_fraction(ba, b, prec).contains_fraction(a * b)
+        assert ball_add(ba, bb).contains_fraction(a + b)
+        assert ball_sub(ba, bb).contains_fraction(a - b)
+        assert ball_mul(ba, bb).contains_fraction(a * b)
+        assert ball_mul_fraction(ba, b).contains_fraction(a * b)
 
     @given(rationals, rationals.filter(lambda q: abs(q) > F(1, 100)))
     @settings(max_examples=100, deadline=None)
     def test_div_containment(self, a, b):
         prec = 80
-        res = ball_div(ball_from_fraction(a, prec), ball_from_fraction(b, prec), prec)
+        res = ball_div(ball_from_fraction(a, prec), ball_from_fraction(b, prec))
         assert res.contains_fraction(a / b)
 
     def test_div_by_zero_ball(self):
-        z = RealBall(mpmath.mpf(1), mpmath.mpf(2), 64)
+        z = RealBall(-1, 3, 0, 64)  # 1 +/- 2
         with pytest.raises(ZeroDivisionError):
-            ball_div(ball_from_int(1, 64), z, 64)
+            ball_div(ball_from_fraction(1, 64), z)
+
+    @given(any_ball, any_ball, st.integers(-1000, 1000).filter(bool), st.integers(-80, 80), rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_every_operation_contains_the_exact_result_at_the_endpoints(self, a, b, n, e, q):
+        # sums, differences, negation, integer multiples and scaling are
+        # exact; products and quotients are the exact extremes over the
+        # endpoints, floored and ceiled at the finer scale
+        assert ball_add(a, b).rad == a.rad + b.rad == ball_sub(a, b).rad
+        assert ball_neg(a).rad == a.rad and ball_mul_int(a, n).rad == a.rad * abs(n)
+        assert ball_scale_2exp(a, e).rad == a.rad * F(2) ** e
+        for op, prod in ((ball_mul, lambda x, y: x * y), (ball_div, lambda x, y: x / y)):
+            if op is ball_div and b.contains_zero():
+                with pytest.raises(ZeroDivisionError):
+                    ball_div(a, b)
+                continue
+            res = op(a, b)
+            vals = [prod(x, y) for x in ends(a) for y in ends(b)]
+            assert res.F == max(a.F, b.F) and res.prec == min(a.prec, b.prec)
+            assert (res.lo, res.hi) == (math.floor(min(vals) * 2**res.F), math.ceil(max(vals) * 2**res.F))
+        for x in ends(a):
+            assert ball_neg(a).contains_fraction(-x)
+            assert ball_mul_int(a, n).contains_fraction(x * n)
+            assert ball_div_int(a, n).contains_fraction(x / n)
+            assert ball_mul_fraction(a, q).contains_fraction(x * q)
+            assert ball_scale_2exp(a, e).contains_fraction(x * F(2) ** e)
+            for y in ends(b):
+                assert ball_add(a, b).contains_fraction(x + y)
+                assert ball_sub(a, b).contains_fraction(x - y)
+                assert ball_mul(a, b).contains_fraction(x * y)
+                if not b.contains_zero():
+                    assert ball_div(a, b).contains_fraction(x / y)
 
 
 KERNEL_F = (64, 300, 1100)
@@ -155,7 +201,7 @@ class TestPi:
         for prec in (64, 256):
             b = pi_ball(PrecisionContext(prec))
             assert contains_decimal(b, PI_DIGITS)
-            assert b.rad <= mpmath.ldexp(1, -prec)
+            assert b.rad <= F(1, 2**prec)
 
     def test_excludes_355_over_113(self):
         # the classical approximation differs from pi by ~2.7e-7
@@ -179,7 +225,7 @@ class TestSinPiRational:
     def test_one_sixth(self):
         b = sin_pi_rational(1, 6, PrecisionContext(128))
         assert b.contains_fraction(F(1, 2))
-        assert b.rad <= mpmath.ldexp(1, -(128 - 40))
+        assert b.rad <= F(1, 2 ** (128 - 40))
 
     def test_quarter(self):
         b = sin_pi_rational(1, 4, PrecisionContext(256))
@@ -204,8 +250,7 @@ class TestSinPiRational:
             a = rng.randint(-120, 120)
             ball = sin_pi_rational(a, b, ctx)
             with mpmath.workprec(200):
-                val = mpmath.sinpi(mpmath.mpf(a) / b)
-                assert ball.mid - ball.rad <= val <= ball.mid + ball.rad, (a, b)
+                assert contains_mpf(ball, mpmath.sinpi(mpmath.mpf(a) / b)), (a, b)
 
 
 class TestLogs:
@@ -220,7 +265,7 @@ class TestLogs:
         assert contains_decimal(b, LOG2_3)
 
     def test_ln2_digits(self):
-        b = balls._ln2_cached(200)
+        b = balls.ln2_ball(PrecisionContext(200))
         assert contains_decimal(b, LN2)
 
     def test_rejects_nonpositive(self):
@@ -228,7 +273,7 @@ class TestLogs:
         with pytest.raises(ValueError):
             log2_of_fraction(F(0), ctx)
         with pytest.raises(ValueError):
-            log2_ball(RealBall(mpmath.mpf(1), mpmath.mpf(2), 64), ctx)
+            log2_ball(RealBall(-1, 3, 0, 64), ctx)
 
     def test_against_mpmath_oracle(self):
         rng = random.Random(5)
@@ -236,13 +281,12 @@ class TestLogs:
             q = F(rng.randint(1, 10**6), rng.randint(1, 10**6))
             ball = ln_ball(ball_from_fraction(q, 120), 120)
             with mpmath.workprec(220):
-                val = mpmath.log(mpmath.mpf(q.numerator) / q.denominator)
-                assert ball.mid - ball.rad <= val <= ball.mid + ball.rad, q
+                assert contains_mpf(ball, mpmath.log(mpmath.mpf(q.numerator) / q.denominator)), q
 
 
 class TestExp:
     def test_exp_zero(self):
-        assert exp_ball(ball_exact_zero(96), 96).contains_fraction(1)
+        assert exp_ball(ball_from_fraction(0, 96), 96).contains_fraction(1)
 
     def test_exp_ln_round_trip(self):
         for q in (F(3, 2), F(10), F(1, 7)):
@@ -294,8 +338,7 @@ class TestLgamma:
             q = F(rng.randint(1, 200), rng.randint(1, 60))
             ball = lgamma_ball(q.numerator, q.denominator, ctx)
             with mpmath.workprec(250):
-                val = mpmath.loggamma(mpmath.mpf(q.numerator) / q.denominator)
-                assert ball.mid - ball.rad <= val <= ball.mid + ball.rad, q
+                assert contains_mpf(ball, mpmath.loggamma(mpmath.mpf(q.numerator) / q.denominator)), q
 
     def test_reflection_identity(self):
         # exp(lgamma(z) + lgamma(1-z)) agrees with pi / sin(pi z)
@@ -304,10 +347,8 @@ class TestLgamma:
         for _ in range(15):
             b = rng.randint(3, 40)
             a = rng.randint(1, b - 1)
-            lhs = exp_ball(
-                ball_add(lgamma_ball(a, b, ctx), lgamma_ball(b - a, b, ctx), ctx.wp), ctx.wp
-            )
-            rhs = ball_div(pi_ball(ctx), sin_pi_rational(a, b, ctx), ctx.wp)
+            lhs = exp_ball(ball_add(lgamma_ball(a, b, ctx), lgamma_ball(b - a, b, ctx)), ctx.wp)
+            rhs = ball_div(pi_ball(ctx), sin_pi_rational(a, b, ctx))
             assert lhs.overlaps(rhs), (a, b)
 
 
@@ -325,5 +366,5 @@ class TestMonotonePrecision:
                 rad = fn(PrecisionContext(prec)).rad
                 assert rad > 0
                 if prev is not None:
-                    assert rad <= prev * mpmath.ldexp(1, -32)
+                    assert rad <= prev / 2**32
                 prev = rad

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from symfreq.cli import EXIT_OK, EXIT_UNSUPPORTED, EXIT_USAGE, EXIT_VERIFY_FAILED, decimal_up
+from symfreq.cli import EXIT_OK, EXIT_UNSUPPORTED, EXIT_USAGE, EXIT_VERIFY_FAILED, decimal_nearest, decimal_up
 from symfreq.linalg import LinearForm, U_SPACE, form_to_json
 from symfreq.relations import phi_forward, u_basis
 
@@ -77,6 +81,18 @@ class TestFreq:
         assert decimal_up(Fraction(99995, 10000), 4) == "1.000e1"
         assert decimal_up(Fraction(2) ** -3500, 4) == "2.484e-1054"
 
+    def test_decimal_nearest(self):
+        # to nearest, in the layout of mpmath.nstr
+        assert decimal_nearest(Fraction(0), 5) == "0.0"
+        assert decimal_nearest(Fraction(1, 2), 5) == "0.5"
+        assert decimal_nearest(Fraction(-2, 3), 5) == "-0.66667"
+        assert decimal_nearest(Fraction(123456), 5) == "1.2346e+5"
+        assert decimal_nearest(Fraction(99999, 10**9), 4) == "0.0001"
+        assert decimal_nearest(Fraction(1, 3 * 10**6), 5) == "3.3333e-7"
+        for q in (Fraction(-2, 3), Fraction(123456), Fraction(1, 7 * 10**40), Fraction(10**30, 7)):
+            with mpmath.workprec(400):
+                assert decimal_nearest(q, 21) == mpmath.nstr(mpmath.mpf(q.numerator) / q.denominator, 21)
+
     def test_index_out_of_range(self, run_cli, capsys):
         code, _ = run_cli("freq", "--m", "12", "--kind", "S", "--index", "6")
         assert code == EXIT_USAGE
@@ -85,6 +101,41 @@ class TestFreq:
         for m, kind in (("0", "H"), ("-3", "U"), ("3", "S")):
             code, out = run_cli("freq", "--m", m, "--kind", kind)
             assert code == EXIT_USAGE and out == "", (m, kind)
+
+
+RUN_WITHOUT_MPMATH = """
+import io, json, sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+from symfreq.cli import main
+
+def run(*argv):
+    buf = io.StringIO()
+    code = main(list(argv), stream=buf)
+    assert code == 0, (argv, code)
+    return json.loads(buf.getvalue())
+
+for kind in "HSU":
+    run("freq", "--m", "12", "--kind", kind, "--prec", "128")
+with open(sys.argv[1], "w") as fh:
+    json.dump(run("basis", "--m", "27")["payload"]["relations"], fh)
+run("verify", "--m", "27", "--relations", sys.argv[1], "--mode", "both")
+run("discover", "--m", "12")
+run("express", "--m", "27")
+run("scan", "--from", "4", "--to", "40")
+"""
+
+
+def test_every_command_runs_without_mpmath(tmp_path):
+    # numpy is the only runtime dependency; mpmath is the tests' oracle
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_WITHOUT_MPMATH, str(tmp_path / "basis27.json")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestBasis:

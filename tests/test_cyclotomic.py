@@ -22,6 +22,7 @@ from cyclo_oracle import (
 )
 import norm_certificate
 import split_prime_oracle as oracle
+from mpf_fraction import mpf_to_fraction
 from identity_annihilator import identity_annihilator
 from identity_oracle import identity_forms
 from split_prime_oracle import split_primes
@@ -209,7 +210,7 @@ class TestLogSineTable:
                     q = F(min(r, n - r), n)
                     if q not in enclosures:
                         x = iv.log(2 * iv.sin(iv.pi * q.numerator / q.denominator), 2) * 2**20
-                        enclosures[q] = tuple(balls.mpf_to_fraction(mpmath.mp.make_mpf(end)) for end in x._mpi_)
+                        enclosures[q] = tuple(mpf_to_fraction(mpmath.mp.make_mpf(end)) for end in x._mpi_)
                     lo, hi = enclosures[q]
                     assert hi <= table[r] <= lo + 4, (n, r)
         finally:
@@ -220,9 +221,8 @@ class TestLogSineTable:
         ctx = balls.PrecisionContext(128)
         table = norm_certificate.log_sine_table(n)
         for r in range(1, n):
-            ball = balls.log2_ball(balls.ball_mul_int(balls.sin_pi_rational(r, n, ctx), 2, ctx.wp), ctx)
-            mid, rad = balls.mpf_to_fraction(ball.mid), balls.mpf_to_fraction(ball.rad)
-            assert (mid + rad) * 2**20 <= table[r] <= (mid - rad) * 2**20 + 4, (n, r)
+            ball = balls.log2_ball(balls.ball_mul_int(balls.sin_pi_rational(r, n, ctx), 2), ctx)
+            assert (ball.mid + ball.rad) * 2**20 <= table[r] <= (ball.mid - ball.rad) * 2**20 + 4, (n, r)
 
 
 class TestSineRatio:

@@ -1,6 +1,5 @@
 from fractions import Fraction as F
 
-import mpmath
 import pytest
 
 from series_oracle import h_series
@@ -25,16 +24,16 @@ class TestHValue:
         assert h_value(4, 1, CTX).contains_fraction(F(1, 2))
 
     def test_residue_classes_sum_to_one(self):
-        total = balls.ball_exact_zero(CTX.wp)
+        total = balls.ball_from_fraction(0, CTX.wp)
         for d in (1, 2, 3):
-            total = balls.ball_add(total, h_value(3, d, CTX), CTX.wp)
+            total = balls.ball_add(total, h_value(3, d, CTX))
         assert total.contains_fraction(1)
 
     def test_inhomogeneous_identity_m12(self):
         ctx = PrecisionContext(256)
         acc = h_value(12, 1, ctx)
         for d in (6, 7, 8):
-            acc = balls.ball_sub(acc, h_value(12, d, ctx), ctx.wp)
+            acc = balls.ball_sub(acc, h_value(12, d, ctx))
         assert acc.contains_fraction(F(1, 3))
 
     def test_strictly_positive(self):
@@ -52,7 +51,7 @@ class TestHSeries:
     def test_m4_d1(self):
         b = h_series(4, 1, 10**6)
         assert b.contains_fraction(F(1, 2))
-        assert b.rad <= mpmath.mpf(2e-6)
+        assert b.rad <= 2e-6
 
     def test_total_frequency(self):
         assert h_series(1, 1, 10**6).contains_fraction(1)
@@ -78,7 +77,7 @@ class TestSValue:
     def test_pair_of_h_values(self):
         # away from the boundary the symmetric frequency is H_d + H_{m-2-d}
         s = s_value(10, 3, CTX)
-        pair = balls.ball_add(h_value(10, 3, CTX), h_value(10, 5, CTX), CTX.wp)
+        pair = balls.ball_add(h_value(10, 3, CTX), h_value(10, 5, CTX))
         assert s.overlaps(pair)
 
     def test_even_boundary_is_single_h(self):
@@ -89,7 +88,7 @@ class TestSValue:
         m = 9
         for d in range(1, m // 2):
             s = s_value(m, d, CTX)
-            pair = balls.ball_add(h_value(m, d, CTX), h_value(m, m - 2 - d, CTX), CTX.wp)
+            pair = balls.ball_add(h_value(m, d, CTX), h_value(m, m - 2 - d, CTX))
             assert s.overlaps(pair), d
 
     def test_positive(self):
@@ -116,9 +115,9 @@ class TestUValue:
     def test_second_difference_matches_s(self):
         # S_d agrees with 2U_{d+1} - U_d - U_{d+2}
         m, d = 27, 3
-        u = balls.ball_mul_int(u_value(m, d + 1, CTX), 2, CTX.wp)
-        u = balls.ball_sub(u, u_value(m, d, CTX), CTX.wp)
-        u = balls.ball_sub(u, u_value(m, d + 2, CTX), CTX.wp)
+        u = balls.ball_mul_int(u_value(m, d + 1, CTX), 2)
+        u = balls.ball_sub(u, u_value(m, d, CTX))
+        u = balls.ball_sub(u, u_value(m, d + 2, CTX))
         assert u.overlaps(s_value(m, d, CTX))
 
     def test_index_errors(self):
@@ -148,7 +147,7 @@ class TestEvaluateForm:
         )
         res = evaluate_form(form, ctx)
         assert res.contains_zero()
-        assert res.rad < mpmath.ldexp(1, -200)
+        assert res.rad < F(1, 2**200)
 
     def test_perturbed_residual_excludes_zero(self):
         ctx = PrecisionContext(256)
@@ -176,7 +175,7 @@ def test_telescoping_small():
         half = m // 2
         svals = {d: s_value(m, d, CTX) for d in range(1, half)}
         for k in range(1, half):
-            rhs = balls.ball_exact_zero(CTX.wp)
+            rhs = balls.ball_from_fraction(0, CTX.wp)
             for d in range(1, half):
-                rhs = balls.ball_add(rhs, balls.ball_mul_int(svals[d], min(d, k), CTX.wp), CTX.wp)
+                rhs = balls.ball_add(rhs, balls.ball_mul_int(svals[d], min(d, k)))
             assert u_value(m, k + 1, CTX).overlaps(rhs), (m, k)

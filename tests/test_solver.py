@@ -419,6 +419,21 @@ class TestScan:
         for m in range(4, 301):
             assert RelationSpace(m).t == expected_t(m), m
 
+    def test_trailing_flag_needs_nothing_where_t_is_m_half_minus_one(self, monkeypatch):
+        # at prime m and at m = 4, 6 and 9, t = m' - 1: the trailing block
+        # is all of Psi, nonsingular by the theorem, so the scan row is read
+        # with no certificate and no elimination
+        ms = [4, 6, 9] + [m for m in range(5, 301) if is_prime(m)]
+        expect = [scan_range(m, m)[0] for m in ms]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trailing flag computed where the theorem settles it")
+
+        monkeypatch.setattr(relations, "certify_nonsingular", refuse)
+        monkeypatch.setattr(relations, "rref", refuse)
+        assert [scan_range(m, m)[0] for m in ms] == expect
+        assert all(r.trailing_basis_ok for r in expect)
+
     def test_scan_reduces_only_the_trailing_block(self, monkeypatch):
         # where certify_nonsingular leaves the trailing t x t block B open,
         # rref reduces B alone, and only at the trailing failures to 62
