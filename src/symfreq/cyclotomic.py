@@ -20,19 +20,17 @@ numbers times B_psi(f_psi) and log p:
   nonzero too.
 
 No witness is computed and no rounding is involved.  The cold build of C
-costs under 0.2 ms at m <= 100, about 4 ms at m = 990 and 0.08 s at
-m = 4106 on a 2-core x86 VM.
+costs about 0.1 ms at m <= 100, 1 ms at m = 990 and 25 ms at m = 4106 on
+a 2-core x86 VM.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from math import gcd, lcm, prod
 
 import numpy as np
 
-from .intmath import divisors, euler_phi, factorize
+from .intmath import divisors, factorize
 from .linalg import LinearForm, U_SPACE
 
 # ----------------------------------------------------------------------
@@ -79,33 +77,6 @@ def cyclotomic_poly(M: int) -> tuple[int, ...]:
 # Relation certificates
 
 
-def _even_counts(f: int) -> np.ndarray:
-    """E[y] = sum over the sets S of primes of f of (-1)^|S| N(g_S, p_S, y), y = 0..f-1.
-
-    p_S is the product of S and g_S is f with every power of each p in S
-    removed; N(g, x, y) = 2 if g <= 2 and phi(g) [x = +-y (mod g)] otherwise.
-    At a unit y, N(g, x, y) is twice the sum over the even characters psi
-    mod g of psi(x / y).
-    """
-    out = np.zeros(f, dtype=np.int64)
-    primes = [p for p, _ in factorize(f)]
-    for size in range(len(primes) + 1):
-        sign = -1 if size % 2 else 1
-        for subset in combinations(primes, size):
-            g = f
-            for p in subset:
-                while g % p == 0:
-                    g //= p
-            if g <= 2:
-                out += 2 * sign
-            else:
-                # r is a unit mod g > 2, so the classes of r and -r differ
-                r = prod(subset) % g
-                out[r::g] += sign * euler_phi(g)
-                out[g - r :: g] += sign * euler_phi(g)
-    return out
-
-
 def build_check_matrix(m: int) -> np.ndarray:
     """The integer check matrix C at modulus m, built afresh: u C = 0 proves the claim u.
 
@@ -116,9 +87,11 @@ def build_check_matrix(m: int) -> np.ndarray:
         tau_p, per p | m (composite m only):  T[k, p] = w_k if f_k is a power of p, else 0;
         b, per unit b with 2 <= b <= m':      T[k, b] = w_k E_(f_k)(a_k b^-1 mod f_k),
 
-    with E of `_even_counts`; that is w_k sum_S (-1)^|S| N(g_S, b p_S, a_k)
-    over the sets S of primes of f_k.  A claim u over U_2..U_m' is the
-    vector c over x_1..x_m' with c_1 = -sum u and c_k = u_k, so c T = u C
+    with E_f(y) = sum_S (-1)^|S| N(g_S, p_S, y) over the sets S of primes of
+    f, p_S the product of S, g_S the number f with every power of each p in
+    S removed, and N(g, x, y) = phi(g) ([x = y] + [x = -y] (mod g)); that
+    is w_k sum_S (-1)^|S| N(g_S, b p_S, a_k).  A claim u over U_2..U_m' is
+    the vector c over x_1..x_m' with c_1 = -sum u and c_k = u_k, so c T = u C
     with C = T[2..m'] - T[1]: shape (m' - 1, t), t = phi(m)/2 - 1 + omega(m)
     for composite m and (m - 3)/2 for prime m.  As D divides phi(m),
     |C| <= 2^(omega(m)+2) phi(m), so C is int64; in fact max|C| is at most
@@ -146,32 +119,52 @@ def build_check_matrix(m: int) -> np.ndarray:
     completeness of the identities; a claim with u C != 0 is refused by
     Dirichlet's theorem L(1, psi) != 0 (`verify_u_relation`).
 
-    The table is one gather from the E of its conductors, with no
-    elimination: under 0.2 ms at m <= 100, about 4 ms at m = 990 and
-    0.08 s at m = 4106 on a 2-core x86 VM.  Nothing is cached: the
-    certificate reads `check_matrix`, and the scan builds C per modulus.
+    The table is one column and its orbit.  Column 1, v_k = T[k, 1] =
+    w_k E_(f_k)(a_k), is one sum over the sets S of primes of m, from the
+    p-parts of f_k, one gcd per p; a set with a prime that does not divide
+    f_k contributes 0.  The unit columns are gathers of it:
+    T[k, b] = v_(k_red(k b^-1 mod m)).
+
+    * Orbit identity.  For a unit b, k' = k_red(k b^-1 mod m) has
+      gcd(k', m) = gcd(k, m), so f_k' = f_k and w_k' = w_k, and
+      a_k' = +-a_k b^-1 (mod f_k).  E is even, so T[k', 1] = T[k, b].
+    * g_S <= 2.  The table reads E only at units y mod f_k, and there both
+      congruences of N hold when g_S <= 2 (mod 2, y and p_S are odd, as 2 is
+      not in S): N is 2, twice the one even character mod g_S, with no
+      branch.  For g_S > 2 the classes of y and -y differ, and N is twice
+      the sum of the phi(g_S)/2 even characters.
+
+    No elimination, and nothing cached: about 0.1 ms at m <= 100, 1 ms at
+    m = 990 and 25 ms at m = 4106 on a 2-core x86 VM.  The certificate
+    reads `check_matrix`, and the scan builds C per modulus.
     """
     half = m // 2
     k = np.arange(1, half + 1, dtype=np.int64)
-    g = np.gcd(k, m)
-    f, a = m // g, k // g
-    conductors = sorted(set(f.tolist()))
-    phis = [euler_phi(c) for c in conductors]
-    which = np.searchsorted(conductors, f)  # f_k = conductors[which[k - 1]]
-    weight = (lcm(*phis) // np.array(phis, dtype=np.int64))[which, None]
-    # E of every conductor end to end, and where row k's E starts
-    counts = np.concatenate([_even_counts(c) for c in conductors])
-    start = np.cumsum([0, *conductors[:-1]])[which, None]
-    units = [b for b in range(2, half + 1) if gcd(b, m) == 1]
-    inverses = np.array([pow(b, -1, m) for b in units], dtype=np.int64)
-    table = weight * counts[start + a[:, None] * inverses % f[:, None]]
+    common = np.gcd(k, m)
+    f, a = m // common, k // common
     fact = factorize(m)
+    primes = np.array([p for p, _ in fact], dtype=np.int64)
+    # the p-part of f_k and its phi, one row per p | m
+    parts = np.gcd(f, np.array([[p**e] for p, e in fact], dtype=np.int64))
+    phis = np.where(parts > 1, parts - parts // primes[:, None], 1)
+    phi = phis.prod(axis=0)
+    weight = np.lcm.reduce(phi) // phi
+    # column 1: one row per set S of primes of m, S the chosen ones, and
+    # (-1)^|S| phi(g_S) where every p in S divides f_k, else 0
+    chosen = (np.arange(1 << len(fact))[:, None] >> np.arange(len(fact)) & 1).astype(bool)
+    sign_phi = np.where(chosen[..., None], -1 * (parts > 1), phis).prod(axis=1)
+    g_s = np.where(chosen[..., None], 1, parts).prod(axis=1)
+    p_s = np.where(chosen, primes, 1).prod(axis=1)[:, None]
+    column = weight * (sign_phi * ((a - p_s) % g_s == 0) + sign_phi * ((a + p_s) % g_s == 0)).sum(axis=0)
+    # v_(k_red(r)) at every residue r = 1..m-1; row b of T^T gathers it at r = k b^-1
+    orbit = np.concatenate([[0], column, column[: (m - 1) // 2][::-1]])
+    inverses = np.array([pow(b, -1, m) for b in k[common == 1][1:].tolist()], dtype=np.int64)
+    table = orbit[inverses[:, None] * k % m]
     if len(fact) > 1 or fact[0][1] > 1:
         # tau_p: w_k where f_k is a power of p
-        base = np.array([factorize(c)[0][0] if len(factorize(c)) == 1 else 0 for c in conductors])[which, None]
-        table = np.hstack([weight * (base == [p for p, _ in fact]), table])
-    # column-major, so that each column of u C is one contiguous dot product
-    return np.asfortranarray(table[1:] - table[0])
+        table = np.vstack([weight * (parts == f), table])
+    # C^T row-major is C column-major, so each column of u C is one contiguous dot product
+    return (table[:, 1:] - table[:, :1]).T
 
 
 @lru_cache(maxsize=None)

@@ -10,9 +10,9 @@ Three families of numbers are produced, all as `balls.RealBall` enclosures:
   relation hunting (u_value(m, 1) is exactly zero).
 
 S- and U-values, and the residuals of forms over them, are integer
-combinations of one log-sine vector L(r, m) = log2 sin(pi r/m), whose
-entries are cached; a form is summed over its integer numerators and
-divided once by its denominator.
+combinations of one log-sine vector L(r, m) = log2 sin(pi r/m), read by
+`relations.log_sine_coeffs`, whose entries are cached; a form is summed
+over its integer numerators and divided once by its denominator.
 """
 
 from __future__ import annotations
@@ -21,9 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import balls
 from .balls import PrecisionContext, RealBall
 from .linalg import LinearForm, S_SPACE, U_SPACE
+from .relations import log_sine_coeffs
 
 
 @dataclass(frozen=True)
@@ -65,24 +68,13 @@ def log2_sine(r: int, m: int, wp: int) -> RealBall:
     return balls.log2_ball(balls.sin_pi_rational(r, m, ctx), ctx)
 
 
-def _log_sine_coeffs(space: str, m: int, items) -> dict[int, int]:
-    """The integers a_r with sum(c_i value_i) = sum(a_r L(r, m)), for integers c_i.
-
-    U_k = L_k - L_1, so U_1 cancels exactly; S_d = 2 L_(d+1) - L_d - L_(d+2)
-    for d < m'-1, and S_(m'-1) = L_m' - L_(m'-1).
-    """
-    half = m // 2
-    out: dict[int, int] = {}
-    for i, c in items:
-        if space == U_SPACE:
-            terms = ((i, c), (1, -c))
-        elif i == half - 1:
-            terms = ((half, c), (half - 1, -c))
-        else:
-            terms = ((i + 1, 2 * c), (i, -c), (i + 2, -c))
-        for r, a in terms:
-            out[r] = out.get(r, 0) + a
-    return {r: a for r, a in out.items() if a}
+def _value_coeffs(space: str, m: int, index: int) -> dict[int, int]:
+    """The integers a_r with value_index = sum(a_r L(r, m)); U_1 is 0."""
+    unit = np.zeros(m // 2 - 1, dtype=np.int64)
+    first = 1 if space == S_SPACE else 2
+    if index >= first:
+        unit[index - first] = 1
+    return log_sine_coeffs(space, unit)
 
 
 def _log_sine_sum(coeffs: dict, m: int, ctx: PrecisionContext, den: int = 1) -> RealBall:
@@ -93,12 +85,6 @@ def _log_sine_sum(coeffs: dict, m: int, ctx: PrecisionContext, den: int = 1) -> 
     return balls.ball_div_int(acc, den)
 
 
-def _form_coeffs(form: LinearForm) -> dict[int, int]:
-    """The integers a_r with den sum(c_i value_i) = sum(a_r L(r, m)), den = form.den."""
-    first = form.first_index
-    return _log_sine_coeffs(form.space, form.m, [(first + i, n) for i, n in enumerate(form.nums) if n])
-
-
 def s_value(m: int, d: int, ctx: PrecisionContext) -> RealBall:
     """Symmetric frequency from the log-sine vector.
 
@@ -107,13 +93,13 @@ def s_value(m: int, d: int, ctx: PrecisionContext) -> RealBall:
     log2(sin(pi m'/m)/sin(pi(m'-1)/m)) for either parity of m.
     """
     _check_index("S", m, d)
-    return _log_sine_sum(_log_sine_coeffs(S_SPACE, m, [(d, 1)]), m, ctx)
+    return _log_sine_sum(_value_coeffs(S_SPACE, m, d), m, ctx)
 
 
 def u_value(m: int, k: int, ctx: PrecisionContext) -> RealBall:
     """log2(sin(pi k/m)/sin(pi/m)); exactly zero at k = 1."""
     _check_index("U", m, k)
-    return _log_sine_sum(_log_sine_coeffs(U_SPACE, m, [(k, 1)]), m, ctx)
+    return _log_sine_sum(_value_coeffs(U_SPACE, m, k), m, ctx)
 
 
 def frequency_value(kind: str, m: int, index: int, ctx: PrecisionContext) -> FrequencyValue:
@@ -134,7 +120,8 @@ def evaluate_form(form: LinearForm, ctx: PrecisionContext) -> RealBall:
     A relation is numerically supported when the result contains zero with a
     radius small against the coefficient mass; see residual_report.
     """
-    return _log_sine_sum(_form_coeffs(form), form.m, ctx, form.den)
+    coeffs = log_sine_coeffs(form.space, np.array(form.nums, dtype=object))
+    return _log_sine_sum(coeffs, form.m, ctx, form.den)
 
 
 def residual_report(form: LinearForm, ctx: PrecisionContext) -> dict:
@@ -147,7 +134,7 @@ def residual_report(form: LinearForm, ctx: PrecisionContext) -> dict:
     The tolerance is an exact Fraction, |L_r| is bounded by the upper end
     of its ball, and the comparison with the exact radius is exact.
     """
-    coeffs = _form_coeffs(form)
+    coeffs = log_sine_coeffs(form.space, np.array(form.nums, dtype=object))
     residual = _log_sine_sum(coeffs, form.m, ctx, form.den)
     l1 = Fraction(sum(map(abs, coeffs.values())), form.den)
     vmax = max([Fraction(1)] + [log2_sine(r, form.m, ctx.wp).abs_upper() for r in coeffs])

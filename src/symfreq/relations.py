@@ -132,6 +132,23 @@ def phi_inverse_coeffs(scoeffs) -> np.ndarray:
     return 2 * ext[..., 1:-1] - ext[..., :-2] - ext[..., 2:]
 
 
+def log_sine_coeffs(space: str, nums: np.ndarray) -> dict[int, int]:
+    """The integers a_r with sum_i nums_i V_i = sum_r a_r L_r, L_r = log2 sin(pi r/m).
+
+    nums is an integer array over the S-values (indices 1..m'-1) or the
+    U-values (2..m') V_i: Python ints in an object array, or int64 where
+    four times max|nums| fits.  An S-vector is read in U-coordinates by
+    `phi_inverse_coeffs`, and U_k = L_k - L_1, so L_1 takes minus the sum
+    of the U-coefficients.  The a_r are Python ints; zeros are left out.
+    """
+    if space == S_SPACE:
+        nums = phi_inverse_coeffs(nums)
+    where = np.flatnonzero(nums)
+    coeffs = dict(zip((where + 2).tolist(), nums[where].tolist()))
+    total = sum(coeffs.values())
+    return {1: -total, **coeffs} if total else coeffs
+
+
 def phi_inverse(sform: LinearForm) -> LinearForm:
     """Preimage of an S-space form under the change of coordinates.
 

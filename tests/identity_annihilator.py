@@ -1,7 +1,8 @@
 """The annihilator of the identity span, an independent oracle for `cyclotomic.check_matrix`.
 
-`check_matrix` builds its table in closed form from even-character
-congruence counts and never eliminates.  This module builds a check matrix
+`check_matrix` builds its table in closed form, one column of
+even-character congruence counts and that column's orbit under
+(Z/m)^*/+-1, and never eliminates.  This module builds a check matrix
 of the same kernel from the one elimination of the identities,
 `identity_oracle.identity_span`, so the two share nothing but the modulus.
 """

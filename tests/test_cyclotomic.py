@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conductor_table import conductor_check_matrix, conductor_table
 from cyclo_oracle import (
     CycloFraction,
     cyclo_add,
@@ -529,6 +530,44 @@ def test_check_matrix_has_the_kernel_of_the_identity_span(m):
     assert cmax == int(abs(check).max())
     assert rref(check.T.tolist()).rank == t
     assert rref(np.hstack([oracle.astype(object), check.astype(object)]).T.tolist()).rank == t
+
+
+@pytest.mark.parametrize("m", [*range(4, 301), 990, 1155, 2310, 3002, 4106])
+def test_check_matrix_equals_the_conductor_table(m):
+    # the table from its first column and that column's orbit against the
+    # table built conductor by conductor: same dtype, shape, column-major
+    # order and entries
+    check = cyclotomic.build_check_matrix(m)
+    reference = conductor_check_matrix(m)
+    assert check.dtype == reference.dtype == np.int64
+    assert check.shape == reference.shape
+    assert check.flags.f_contiguous and reference.flags.f_contiguous
+    assert (check == reference).all()
+
+
+def test_conductor_table_is_one_column_and_its_orbit():
+    # the orbit identity on the reference's own table: T[k, b] equals
+    # T[k_red(k b^-1 mod m), 1] at every unit b = 1..m'
+    for m in range(4, 301):
+        _, table = conductor_table(m)
+        k = np.arange(1, m // 2 + 1)
+        units = [b for b in range(1, m // 2 + 1) if gcd(b, m) == 1]
+        assert table.shape == (len(k), len(units))
+        for j, b in enumerate(units):
+            r = k * pow(b, -1, m) % m
+            assert (table[:, j] == table[np.minimum(r, m - r) - 1, 0]).all(), (m, b)
+
+
+def test_check_matrix_entries_fit_int64():
+    # the premise of the int64 table: |C| <= 2^(omega(m)+2) phi(m), and the
+    # maxima the docstring of build_check_matrix quotes
+    peak = 0
+    for m in range(4, 1001):
+        cmax = int(abs(cyclotomic.build_check_matrix(m)).max())
+        assert cmax <= 2 ** (len(factorize(m)) + 2) * euler_phi(m), m
+        peak = max(peak, cmax)
+    assert peak == 996
+    assert int(abs(cyclotomic.build_check_matrix(4106)).max()) == 4104
 
 
 def test_check_matrix_kernel_at_4106_is_the_two_p_basis():

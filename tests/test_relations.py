@@ -23,6 +23,7 @@ from symfreq.relations import (
     hset,
     identity_u_basis,
     k_red,
+    log_sine_coeffs,
     modulus_profile,
     phi_coeffs,
     phi_forward,
@@ -168,6 +169,28 @@ class TestPhi:
             out = phi_coeffs(np.array(rows, dtype=np.int64))
             assert out.dtype == object and out.tolist() == [exact(r) for r in rows], rows
         assert phi_coeffs(np.array([[2**61] * 3])).tolist() == [[3 * 2**61, 5 * 2**61, 6 * 2**61]]
+
+    @given(st.integers(min_value=4, max_value=40), st.sampled_from([S_SPACE, U_SPACE]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_log_sine_coeffs_match_the_sine_ratios(self, m, space, data):
+        # reference: S_d = 2 L_(d+1) - L_d - L_(d+2) for d < m'-1,
+        # S_(m'-1) = L_m' - L_(m'-1) and U_k = L_k - L_1, term by term
+        half = m // 2
+        nums = data.draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=half - 1, max_size=half - 1))
+        ref = [0] * (half + 3)  # ref[r] is the coefficient of L_r
+        for i, c in enumerate(nums, start=1 if space == S_SPACE else 2):
+            if space == U_SPACE:
+                terms = ((i, c), (1, -c))
+            elif i == half - 1:
+                terms = ((half, c), (half - 1, -c))
+            else:
+                terms = ((i + 1, 2 * c), (i, -c), (i + 2, -c))
+            for r, a in terms:
+                ref[r] += a
+        expected = {r: a for r, a in enumerate(ref) if a}
+        for arr in (np.array(nums, dtype=object), np.array(nums, dtype=np.int64)):
+            coeffs = log_sine_coeffs(space, arr)
+            assert coeffs == expected and all(type(a) is int for a in coeffs.values())
 
     @pytest.mark.parametrize("m", [4, 5, 12, 27, 42, 105, 990])
     def test_inverse_matrix_maps_rows_and_the_check_table(self, m):
