@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .balls import PrecisionContext, RealBall
 from .cyclotomic import cyclotomic_poly, verify_u_relation
 from .frequencies import evaluate_form, h_value, s_value, u_value
-from .linalg import LinearForm, Rational, rref
+from .linalg import LinearForm, rref
 from .relations import (
     ModulusProfile,
     RelationBasis,
@@ -41,7 +41,6 @@ __all__ = [
     "s_value",
     "u_value",
     "LinearForm",
-    "Rational",
     "rref",
     "ModulusProfile",
     "RelationBasis",

@@ -11,8 +11,8 @@ Rounding is outward, so no error term is tracked:
 
 * sums, differences, negation, integer multiples and scaling by 2^e are
   exact;
-* products and quotients are computed exactly on the endpoints and rounded
-  to the finer scale of the operands, floor for lo and ceil for hi, as is
+* quotients are computed exactly on the endpoints and rounded to the
+  finer scale of the operands, floor for lo and ceil for hi, as is
   division by an int;
 * a binary operation's result is printed at the lower precision of its
   operands;
@@ -84,15 +84,6 @@ class RealBall:
     def abs_upper(self) -> Fraction:
         return Fraction(max(-self.lo, self.hi), 1 << self.F)
 
-    def contains_fraction(self, q) -> bool:
-        """Exact membership test for a rational point."""
-        q = Fraction(q)
-        return self.lo * q.denominator <= q.numerator << self.F <= self.hi * q.denominator
-
-    def overlaps(self, other: "RealBall") -> bool:
-        _, alo, ahi, blo, bhi = _aligned(self, other)
-        return alo <= bhi and blo <= ahi
-
     def __repr__(self):
         return f"RealBall({float(self.mid)!r} +/- {float(self.rad):.3g}, prec={self.prec})"
 
@@ -123,13 +114,6 @@ def ball_sub(a: RealBall, b: RealBall) -> RealBall:
 
 def ball_neg(a: RealBall) -> RealBall:
     return RealBall(-a.hi, -a.lo, a.F, a.prec)
-
-
-def ball_mul(a: RealBall, b: RealBall) -> RealBall:
-    # the products are exact in units of 2^-(a.F + b.F)
-    ends = [x * y for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
-    lo, hi = _outward(min(ends), max(ends), min(a.F, b.F))
-    return RealBall(lo, hi, max(a.F, b.F), min(a.prec, b.prec))
 
 
 def ball_div(a: RealBall, b: RealBall) -> RealBall:
@@ -332,13 +316,6 @@ def log2_ball(x: RealBall, ctx: PrecisionContext) -> RealBall:
         raise ValueError("log2 of a ball that is not strictly positive")
     bits = ctx.wp + _KERNEL_GUARD
     return RealBall(*_log2_bounds(x, bits), bits, ctx.prec)
-
-
-def log2_of_fraction(q, ctx: PrecisionContext) -> RealBall:
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("log2 of a nonpositive rational")
-    return log2_ball(ball_from_fraction(q, ctx.wp), ctx)
 
 
 def sin_pi_rational(a: int, b: int, ctx: PrecisionContext) -> RealBall:

@@ -177,8 +177,7 @@ def check_matrix(m: int) -> tuple[np.ndarray, int]:
 
 def scaled_exponents(form: LinearForm) -> tuple[int, dict[int, int]]:
     """Clear denominators of a form: (lcm L, {index: integer coefficient})."""
-    scale, ints = form.integer_coeffs()
-    return scale, {k: e for k, e in enumerate(ints, start=form.first_index) if e}
+    return form.den, {k: e for k, e in enumerate(form.nums, start=form.first_index) if e}
 
 
 def verify_u_relation(m: int, form: LinearForm) -> bool:
@@ -213,7 +212,7 @@ def verify_u_relation(m: int, form: LinearForm) -> bool:
         raise ValueError("verify_u_relation expects a U-space form")
     if form.m != m:
         raise ValueError(f"form has modulus {form.m}, expected {m}")
-    u = form.integer_coeffs()[1]
+    u = form.nums
     check, cmax = check_matrix(m)
     dtype = np.int64 if sum(map(abs, u)) * cmax < 1 << 62 else object
     return not (np.array(u, dtype=dtype) @ check.astype(dtype, copy=False)).any()

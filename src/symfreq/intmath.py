@@ -64,8 +64,3 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime divisors."""
-    return len(factorize(n))

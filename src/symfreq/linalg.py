@@ -6,8 +6,10 @@ canonical form (positive denominator, gcd-reduced).  The wire format for a
 rational is the string "p/q", or just "p" when q = 1, with a leading "-" for
 negatives; this is exactly what `str(Fraction)` produces.
 
-`rref` is the package's one elimination routine: modular elimination, then
-rational reconstruction, then an exact check that makes the result a proof.
+`rref` is the package's one elimination routine, on one integer matrix:
+modular elimination, then rational reconstruction, then an exact check that
+makes the result a proof.  It returns the pivots and each nonzero row as
+integer numerators over one positive denominator; no Fraction is built.
 `certify_nonsingular` proves a square integer matrix nonsingular with no
 elimination, by one exact float64 product.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -25,8 +27,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .intmath import is_prime
-
-Rational = Fraction
 
 S_SPACE = "S"
 U_SPACE = "U"
@@ -58,11 +58,6 @@ def ratio_from_str(s: str) -> tuple[int, int]:
                 raise ZeroDivisionError(f"Fraction({num}, 0)")
             return int(num), q
     return Fraction(s.strip()).as_integer_ratio()
-
-
-def rat_from_str(s: str) -> Fraction:
-    """The rational of a wire string, as Fraction(s.strip()) gives it."""
-    return Fraction(*ratio_from_str(s))
 
 
 def format_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
@@ -146,10 +141,6 @@ class LinearForm:
     def first_index(self) -> int:
         return 1 if self.space == S_SPACE else 2
 
-    @property
-    def last_index(self) -> int:
-        return self.first_index + len(self.nums) - 1
-
     @functools.cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, every zero the one shared Fraction(0)."""
@@ -191,11 +182,6 @@ class LinearForm:
             vec[i] += n * (den // d)
         return cls(space, m, vec, den)
 
-    def coeff(self, index: int) -> Fraction:
-        if not self.first_index <= index <= self.last_index:
-            raise ValueError(f"index {index} out of range")
-        return Fraction(self.nums[index - self.first_index], self.den)
-
     def items(self) -> list[tuple[int, Fraction]]:
         """Nonzero (index, coefficient) pairs, index ascending."""
         first, den = self.first_index, self.den
@@ -203,10 +189,6 @@ class LinearForm:
 
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    def integer_coeffs(self) -> tuple[int, tuple[int, ...]]:
-        """(den, nums): the lcm L of the denominators and the coefficients times L."""
-        return self.den, self.nums
 
 
 def form_to_json(form: LinearForm, provenance: str | None = None) -> dict:
@@ -226,96 +208,59 @@ def form_from_json(obj: Mapping) -> LinearForm:
         if isinstance(m, bool) or not isinstance(m, int):
             raise ValueError(f"modulus {m!r} is not an integer")
         space = str(obj["space"])
-        ratios = {int(k): ratio_from_str(str(v)) for k, v in obj["coeffs"].items()}
+        ratios = [(int(k), ratio_from_str(str(v))) for k, v in obj["coeffs"].items()]
+        if len({k for k, _ in ratios}) != len(ratios):
+            # keys such as "2" and "02" name one index twice
+            twice = Counter(k for k, _ in ratios).most_common(1)[0][0]
+            raise ValueError(f"index {twice} appears twice")
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed relation object: {exc}") from exc
-    return LinearForm._from_ratios(space, m, ratios.items())
+    return LinearForm._from_ratios(space, m, ratios)
 
 
 @dataclass(frozen=True)
 class RrefResult:
     """The RREF: nonzero row i is nums[i] / dens[i], with pivot column pivots[i].
 
-    nums holds Python int rows and dens positive ints; `rows` builds the
-    Fraction rows, zero rows included, only when it is read.
+    nums holds Python int rows and dens positive ints.
     """
 
     pivots: tuple[int, ...]
     nums: list[list[int]]
     dens: list[int]
-    shape: tuple[int, int]
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    @functools.cached_property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        frac = _FractionCache().__getitem__
-        out = [
-            tuple(map(frac, zip(row, itertools.repeat(d))))
-            for row, d in zip(self.nums, self.dens)
-        ]
-        nrows, ncols = self.shape
-        out += [(Fraction(0),) * ncols] * (nrows - len(out))
-        return tuple(out)
 
+def rref(mat: np.ndarray) -> RrefResult:
+    """The reduced row echelon form over Q of a 2-D integer matrix.
 
-def integer_row(row: Iterable) -> list[int]:
-    """An int or Fraction row times the lcm of its denominators."""
-    row = list(row)
-    scale = math.lcm(*map(_denominator_of, row))
-    if scale == 1:
-        return list(map(_numerator_of, row))
-    return [x.numerator * (scale // x.denominator) for x in row]
-
-
-_numerator_of = operator.attrgetter("numerator")
-_denominator_of = operator.attrgetter("denominator")
-
-
-def stack_forms(forms: Iterable[LinearForm]) -> list[tuple[Fraction, ...]]:
-    """Coefficient vectors of the given forms, as rows for `rref`."""
-    rows = [f.coeffs for f in forms]
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("forms of mixed length cannot be stacked")
-    return rows
-
-
-def rref(rows: Iterable[Iterable] | np.ndarray) -> RrefResult:
-    """The reduced row echelon form over Q of rows of ints or Fractions, or of
-    a 2-D numpy integer array.
-
-    Returns the unique RREF (the nonzero rows first, one per pivot, then zero
-    rows, as many as the input has) with its pivot columns.  Each row is
-    scaled to integers, and the integer matrix is reduced over Z/p for primes
-    p < 2^31, so that products of residues fit in int64.  The reduced rows of
-    all primes with the same pivots are combined by the CRT, and every row is
-    recovered by rational reconstruction with one denominator per row (von
-    zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).  The result R is
-    returned only after an exact check: R has unit pivot columns and zeros
-    left of its pivots, and every input row a equals the sum over i of
-    a[pivot_i] * R_i.  So span(input) lies in span(R), which has dimension
-    rank(R) = rank over Z/p <= rank over Q = dim span(input); the spans are
-    equal and R is the RREF.  A prime whose pivots come later than another's
-    is dropped: it divides a minor of the matrix.  Until the check passes,
-    primes are added; past the Hadamard bound, where the check cannot fail
-    for a correct reduction, ArithmeticError is raised instead.
+    mat is an int64 array, or an object array of Python ints; any other
+    input raises ValueError.  Returns the pivot columns and the nonzero rows
+    of the unique RREF, one per pivot.  The integer matrix is reduced over
+    Z/p for primes p < 2^31, so that products of residues fit in int64.  The
+    reduced rows of all primes with the same pivots are combined by the CRT,
+    and every row is recovered by rational reconstruction with one
+    denominator per row (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 5).  The result R is returned only after an exact check: R
+    has unit pivot columns and zeros left of its pivots, and every input row
+    a equals the sum over i of a[pivot_i] * R_i.  So span(input) lies in
+    span(R), which has dimension rank(R) = rank over Z/p <= rank over Q =
+    dim span(input); the spans are equal and R is the RREF.  A prime whose
+    pivots come later than another's is dropped: it divides a minor of the
+    matrix.  Until the check passes, primes are added; past the Hadamard
+    bound, where the check cannot fail for a correct reduction,
+    ArithmeticError is raised instead.
     """
-    if isinstance(rows, np.ndarray):
-        mat, ints = rows, rows.tolist()
-        ncols = mat.shape[1]
-    else:
-        ints = [integer_row(r) for r in rows]
-        ncols = len(ints[0]) if ints else 0
-        if any(len(r) != ncols for r in ints):
-            raise ValueError("rows of mixed length")
-        try:
-            mat = np.array(ints, dtype=np.int64).reshape(len(ints), ncols)
-        except OverflowError:
-            mat = np.array(ints, dtype=object).reshape(len(ints), ncols)
-    if not ints:
-        return RrefResult((), [], [], (0, ncols))
+    if not isinstance(mat, np.ndarray) or mat.ndim != 2:
+        raise ValueError("rref takes a 2-D numpy integer matrix")
+    ints = mat.tolist()
+    if mat.dtype != np.int64 and not (mat.dtype == object and all(type(x) is int for row in ints for x in row)):
+        raise ValueError(f"rref takes int64 or Python ints, not {mat.dtype}")
+    if not mat.size:
+        return RrefResult((), [], [])
     best = modulus = residues = None
     spent, budget = 0, None
     for p in _primes():
@@ -330,7 +275,7 @@ def rref(rows: Iterable[Iterable] | np.ndarray) -> RrefResult:
             fracs = _reconstruct(residues, modulus)
             if fracs is not None and _verified(ints, mat, pivots, *fracs):
                 nums, dens = fracs
-                return RrefResult(pivots, nums.tolist(), dens.tolist(), mat.shape)
+                return RrefResult(pivots, nums.tolist(), dens.tolist())
         spent += p.bit_length()
         if budget is None:
             # bad primes divide one nonzero minor, and reconstruction
@@ -477,14 +422,6 @@ def _verified(ints, mat, pivots, nums, dens) -> bool:
 def _hadamard_bits(ints) -> int:
     """log2 of the Hadamard bound on every minor of the rows, rounded up."""
     return sum((sum(x * x for x in row).bit_length() + 1) // 2 for row in ints)
-
-
-class _FractionCache(dict):
-    """(numerator, denominator) -> Fraction, built once per distinct key."""
-
-    def __missing__(self, key):
-        f = self[key] = Fraction(*key)
-        return f
 
 
 def certify_nonsingular(b: np.ndarray) -> bool:

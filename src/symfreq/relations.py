@@ -88,8 +88,7 @@ def phi_forward(uform: LinearForm) -> LinearForm:
     """Image of a U-space form in S-space."""
     if uform.space != U_SPACE:
         raise ValueError("phi_forward expects a U-space form")
-    scale, x = uform.integer_coeffs()
-    return LinearForm(S_SPACE, uform.m, phi_coeffs(np.array(x, dtype=object)).tolist(), scale)
+    return LinearForm(S_SPACE, uform.m, phi_coeffs(np.array(uform.nums, dtype=object)).tolist(), uform.den)
 
 
 def phi_coeffs(ucoeffs) -> np.ndarray:
@@ -157,8 +156,7 @@ def phi_inverse(sform: LinearForm) -> LinearForm:
     """
     if sform.space != S_SPACE:
         raise ValueError("phi_inverse expects an S-space form")
-    scale, x = sform.integer_coeffs()
-    return LinearForm(U_SPACE, sform.m, phi_inverse_coeffs(np.array(x, dtype=object)).tolist(), scale)
+    return LinearForm(U_SPACE, sform.m, phi_inverse_coeffs(np.array(sform.nums, dtype=object)).tolist(), sform.den)
 
 
 # ----------------------------------------------------------------------

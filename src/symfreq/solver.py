@@ -35,14 +35,7 @@ from . import frequencies
 from .balls import PrecisionContext
 from .cyclotomic import verify_u_relation
 from .intmath import euler_phi
-from .linalg import (
-    LinearForm,
-    U_SPACE,
-    format_terms,
-    rat_to_str,
-    rref,
-    stack_forms,
-)
+from .linalg import LinearForm, U_SPACE, format_terms, rat_to_str, rref
 from .lll import lll_reduce
 from .relations import CASE_PRIME, RelationBasis, RelationSpace, modulus_profile
 
@@ -132,7 +125,8 @@ def _free_indices(m: int, forms: list[LinearForm]) -> list[int]:
     idxs = list(range(2, half + 1))
     if not forms:
         return idxs
-    pivots = rref(stack_forms(forms)).pivots
+    # row i is form i times its den > 0, which keeps the rank and the pivots
+    pivots = rref(np.array([f.nums for f in forms], dtype=object)).pivots
     pivot_indices = {idxs[p] for p in pivots}
     return [i for i in idxs if i not in pivot_indices]
 
@@ -151,6 +145,8 @@ def discover_relations(m: int, precision: int = 256, bound: int = 10**6) -> Disc
         raise ValueError("discovery needs m >= 4")
     if precision < 128:
         raise ValueError("discovery needs precision >= 128")
+    if bound < 1:
+        raise ValueError("discovery needs a coefficient bound >= 1")
     half = m // 2
     ctx = PrecisionContext(precision)
     values = {k: frequencies.u_value(m, k, ctx) for k in range(2, half + 1)}
@@ -192,7 +188,7 @@ def discover_relations(m: int, precision: int = 256, bound: int = 10**6) -> Disc
                 min_rejected = min(min_rejected, _row_norm(coeffs, resid, shift))
                 continue
             trial = verified + [form]
-            if rref(stack_forms(trial)).rank != len(trial):
+            if rref(np.array([f.nums for f in trial], dtype=object)).rank != len(trial):
                 continue  # already in the verified span, nothing to gain
             if verify_u_relation(m, form):
                 verified = trial

@@ -5,12 +5,12 @@ trips such as exp(ln q) containing q and the reflection formula for
 log-Gamma.
 """
 
+from ball_ops import ball_mul
 from symfreq.balls import (
     RealBall,
     ball_add,
     ball_div_int,
     ball_from_fraction,
-    ball_mul,
     ball_scale_2exp,
 )
 

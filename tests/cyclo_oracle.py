@@ -1,10 +1,12 @@
 """Dense arithmetic in Q(zeta_M), the independent oracle for the certificate.
 
-`symfreq.cyclotomic` decides product identities by evaluation at split
-primes.  This module computes the same products coordinate by coordinate
-over the power basis 1, z, ..., z^(phi(M)-1), with `Fraction` entries and
-reduction modulo the cyclotomic polynomial, so the tests can compare the two
-routes and embed elements numerically.
+`symfreq.cyclotomic` decides a claimed relation by one integer product,
+u C = 0, against its closed-form character table; it never multiplies in
+the field.  This module computes products of cyclotomic elements coordinate
+by coordinate over the power basis 1, z, ..., z^(phi(M)-1), with `Fraction`
+entries and reduction modulo the cyclotomic polynomial, so the tests can
+check the certificate's verdicts on the product itself and embed elements
+numerically.
 """
 
 from __future__ import annotations

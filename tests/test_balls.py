@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ball_exp import exp_ball
+from ball_ops import ball_mul, contains_fraction, log2_of_fraction, overlaps
 from mpf_fraction import mpf_to_fraction
 from symfreq import balls
 from symfreq.balls import (
@@ -16,7 +17,6 @@ from symfreq.balls import (
     ball_div,
     ball_div_int,
     ball_from_fraction,
-    ball_mul,
     ball_mul_fraction,
     ball_mul_int,
     ball_neg,
@@ -26,7 +26,6 @@ from symfreq.balls import (
     lgamma_ball,
     ln_ball,
     log2_ball,
-    log2_of_fraction,
     pi_ball,
     sin_pi_rational,
 )
@@ -55,12 +54,12 @@ def ends(b):
 
 def contains_decimal(ball, digits):
     """Whether the ball contains the number given by a long decimal string."""
-    return ball.contains_fraction(F(digits))
+    return contains_fraction(ball, F(digits))
 
 
 def contains_mpf(ball, val):
     """Whether the ball contains the exact value of an mpmath reference."""
-    return ball.contains_fraction(mpf_to_fraction(val))
+    return contains_fraction(ball, mpf_to_fraction(val))
 
 
 class TestContext:
@@ -79,7 +78,7 @@ class TestBallBasics:
 
     def test_from_fraction_contains(self):
         b = ball_from_fraction(F(1, 3), 128)
-        assert b.rad > 0 and b.contains_fraction(F(1, 3))
+        assert b.rad > 0 and contains_fraction(b, F(1, 3))
 
     def test_mpf_to_fraction_round_trip(self):
         x = mpmath.mpf("-13.40625")
@@ -90,17 +89,17 @@ class TestBallBasics:
     def test_add_mul_containment(self, a, b):
         prec = 80
         ba, bb = ball_from_fraction(a, prec), ball_from_fraction(b, prec)
-        assert ball_add(ba, bb).contains_fraction(a + b)
-        assert ball_sub(ba, bb).contains_fraction(a - b)
-        assert ball_mul(ba, bb).contains_fraction(a * b)
-        assert ball_mul_fraction(ba, b).contains_fraction(a * b)
+        assert contains_fraction(ball_add(ba, bb), a + b)
+        assert contains_fraction(ball_sub(ba, bb), a - b)
+        assert contains_fraction(ball_mul(ba, bb), a * b)
+        assert contains_fraction(ball_mul_fraction(ba, b), a * b)
 
     @given(rationals, rationals.filter(lambda q: abs(q) > F(1, 100)))
     @settings(max_examples=100, deadline=None)
     def test_div_containment(self, a, b):
         prec = 80
         res = ball_div(ball_from_fraction(a, prec), ball_from_fraction(b, prec))
-        assert res.contains_fraction(a / b)
+        assert contains_fraction(res, a / b)
 
     def test_div_by_zero_ball(self):
         z = RealBall(-1, 3, 0, 64)  # 1 +/- 2
@@ -126,17 +125,17 @@ class TestBallBasics:
             assert res.F == max(a.F, b.F) and res.prec == min(a.prec, b.prec)
             assert (res.lo, res.hi) == (math.floor(min(vals) * 2**res.F), math.ceil(max(vals) * 2**res.F))
         for x in ends(a):
-            assert ball_neg(a).contains_fraction(-x)
-            assert ball_mul_int(a, n).contains_fraction(x * n)
-            assert ball_div_int(a, n).contains_fraction(x / n)
-            assert ball_mul_fraction(a, q).contains_fraction(x * q)
-            assert ball_scale_2exp(a, e).contains_fraction(x * F(2) ** e)
+            assert contains_fraction(ball_neg(a), -x)
+            assert contains_fraction(ball_mul_int(a, n), x * n)
+            assert contains_fraction(ball_div_int(a, n), x / n)
+            assert contains_fraction(ball_mul_fraction(a, q), x * q)
+            assert contains_fraction(ball_scale_2exp(a, e), x * F(2) ** e)
             for y in ends(b):
-                assert ball_add(a, b).contains_fraction(x + y)
-                assert ball_sub(a, b).contains_fraction(x - y)
-                assert ball_mul(a, b).contains_fraction(x * y)
+                assert contains_fraction(ball_add(a, b), x + y)
+                assert contains_fraction(ball_sub(a, b), x - y)
+                assert contains_fraction(ball_mul(a, b), x * y)
                 if not b.contains_zero():
-                    assert ball_div(a, b).contains_fraction(x / y)
+                    assert contains_fraction(ball_div(a, b), x / y)
 
 
 KERNEL_F = (64, 300, 1100)
@@ -206,7 +205,7 @@ class TestPi:
     def test_excludes_355_over_113(self):
         # the classical approximation differs from pi by ~2.7e-7
         b = pi_ball(PrecisionContext(64))
-        assert not b.contains_fraction(F(355, 113))
+        assert not contains_fraction(b, F(355, 113))
 
     def test_radius_shrinks_with_precision(self):
         prev = None
@@ -220,11 +219,11 @@ class TestPi:
 class TestSinPiRational:
     def test_exact_half(self):
         b = sin_pi_rational(1, 2, PrecisionContext(64))
-        assert b.contains_fraction(1)
+        assert contains_fraction(b, 1)
 
     def test_one_sixth(self):
         b = sin_pi_rational(1, 6, PrecisionContext(128))
-        assert b.contains_fraction(F(1, 2))
+        assert contains_fraction(b, F(1, 2))
         assert b.rad <= F(1, 2 ** (128 - 40))
 
     def test_quarter(self):
@@ -238,9 +237,9 @@ class TestSinPiRational:
 
     def test_folding_signs(self):
         b = sin_pi_rational(7, 6, PrecisionContext(128))
-        assert b.contains_fraction(F(-1, 2))
+        assert contains_fraction(b, F(-1, 2))
         c = sin_pi_rational(-1, 6, PrecisionContext(128))
-        assert c.contains_fraction(F(-1, 2))
+        assert contains_fraction(c, F(-1, 2))
 
     def test_against_mpmath_oracle(self):
         rng = random.Random(11)
@@ -256,9 +255,9 @@ class TestSinPiRational:
 class TestLogs:
     def test_log2_of_one_and_two(self):
         ctx = PrecisionContext(128)
-        assert log2_of_fraction(F(1), ctx).contains_fraction(0)
-        assert log2_of_fraction(F(2), ctx).contains_fraction(1)
-        assert log2_of_fraction(F(4), ctx).contains_fraction(2)
+        assert contains_fraction(log2_of_fraction(F(1), ctx), 0)
+        assert contains_fraction(log2_of_fraction(F(2), ctx), 1)
+        assert contains_fraction(log2_of_fraction(F(4), ctx), 2)
 
     def test_log2_of_three(self):
         b = log2_of_fraction(F(3), PrecisionContext(256))
@@ -286,12 +285,12 @@ class TestLogs:
 
 class TestExp:
     def test_exp_zero(self):
-        assert exp_ball(ball_from_fraction(0, 96), 96).contains_fraction(1)
+        assert contains_fraction(exp_ball(ball_from_fraction(0, 96), 96), 1)
 
     def test_exp_ln_round_trip(self):
         for q in (F(3, 2), F(10), F(1, 7)):
             b = exp_ball(ln_ball(ball_from_fraction(q, 128), 128), 128)
-            assert b.contains_fraction(q)
+            assert contains_fraction(b, q)
 
 
 class TestBernoulli:
@@ -312,14 +311,14 @@ class TestBernoulli:
 class TestLgamma:
     def test_gamma_one_and_two(self):
         ctx = PrecisionContext(128)
-        assert lgamma_ball(1, 1, ctx).contains_fraction(0)
-        assert lgamma_ball(2, 1, ctx).contains_fraction(0)
+        assert contains_fraction(lgamma_ball(1, 1, ctx), 0)
+        assert contains_fraction(lgamma_ball(2, 1, ctx), 0)
 
     def test_half_is_half_log_pi(self):
         ctx = PrecisionContext(256)
         b = lgamma_ball(1, 2, ctx)
         ref = balls.ball_scale_2exp(ln_ball(pi_ball(ctx), ctx.wp), -1)
-        assert b.overlaps(ref)
+        assert overlaps(b, ref)
 
     def test_one_third_digits(self):
         b = lgamma_ball(1, 3, PrecisionContext(256))
@@ -349,7 +348,7 @@ class TestLgamma:
             a = rng.randint(1, b - 1)
             lhs = exp_ball(ball_add(lgamma_ball(a, b, ctx), lgamma_ball(b - a, b, ctx)), ctx.wp)
             rhs = ball_div(pi_ball(ctx), sin_pi_rational(a, b, ctx))
-            assert lhs.overlaps(rhs), (a, b)
+            assert overlaps(lhs, rhs), (a, b)
 
 
 class TestMonotonePrecision:

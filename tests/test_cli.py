@@ -228,6 +228,18 @@ class TestVerify:
             code, _ = run_cli("verify", "--m", "27", "--relations", str(f))
             assert code == EXIT_USAGE, doc
 
+    def test_duplicate_indices_refused(self, run_cli, tmp_path, capsys):
+        # "2" and "02" both name U_2: the file is refused as input (exit 2),
+        # not read as U_2 alone and refused as a relation (exit 1)
+        f = tmp_path / "dup.json"
+        f.write_text(json.dumps({"m": 27, "space": "U", "coeffs": {"2": "1", "02": "1"}}))
+        code, out = run_cli("verify", "--m", "27", "--relations", str(f))
+        assert code == EXIT_USAGE and out == ""
+        assert "index 2 appears twice" in capsys.readouterr().err
+        f.write_text(json.dumps({"m": 27, "space": "U", "coeffs": {"2": "1"}}))
+        code, _ = run_cli("verify", "--m", "27", "--relations", str(f))
+        assert code == EXIT_VERIFY_FAILED
+
     def test_modulus_mismatch(self, run_cli, tmp_path):
         f = tmp_path / "wrong.json"
         f.write_text(json.dumps(form_to_json(u_basis(27).forms[0])))
@@ -288,6 +300,15 @@ class TestDiscover:
         assert code == EXIT_OK
         assert doc["payload"]["count"] == 0
         assert doc["payload"]["empirical_t"] == 3
+
+    def test_bound_below_one_refused(self, run_cli, run_cli_json, capsys):
+        # a bound below 1 would skip every candidate and report t = m' - 1
+        for bound in ("0", "-5"):
+            code, out = run_cli("discover", "--m", "12", "--bound", bound)
+            assert code == EXIT_USAGE and out == "", bound
+            assert "bound" in capsys.readouterr().err
+        code, doc = run_cli_json("discover", "--m", "12", "--bound", "2")
+        assert code == EXIT_OK and doc["payload"]["empirical_t"] == 3
 
     def test_m16_three_relations(self, run_cli_json):
         code, doc = run_cli_json("discover", "--m", "16", "--prec", "256")

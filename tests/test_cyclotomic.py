@@ -26,6 +26,7 @@ import split_prime_oracle as oracle
 from mpf_fraction import mpf_to_fraction
 from identity_annihilator import identity_annihilator
 from identity_oracle import identity_forms
+from rref_rows import integer_matrix
 from split_prime_oracle import split_primes
 from symfreq.cyclotomic import cyclotomic_poly, scaled_exponents, verify_u_relation
 from symfreq import balls, cyclotomic, linalg
@@ -368,7 +369,7 @@ def test_verdict_is_span_membership(m, data):
     vec = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(len(rows[0]))]
     if data.draw(st.booleans()):
         vec[data.draw(st.integers(0, len(vec) - 1))] += data.draw(st.sampled_from((-1, 1)))
-    in_span = rref(rows + (tuple(vec),)).rank == len(rows)
+    in_span = rref(integer_matrix(rows + (tuple(vec),))).rank == len(rows)
     assert verify_u_relation(m, LinearForm(U_SPACE, m, tuple(vec))) is in_span
 
 
@@ -528,8 +529,8 @@ def test_check_matrix_has_the_kernel_of_the_identity_span(m):
     formula = (m - 3) // 2 if is_prime(m) else euler_phi(m) // 2 - 1 + len(factorize(m))
     assert check.shape == (m // 2 - 1, t) and t == formula
     assert cmax == int(abs(check).max())
-    assert rref(check.T.tolist()).rank == t
-    assert rref(np.hstack([oracle.astype(object), check.astype(object)]).T.tolist()).rank == t
+    assert rref(check.T).rank == t
+    assert rref(np.hstack([oracle.astype(object), check.astype(object)]).T).rank == t
 
 
 @pytest.mark.parametrize("m", [*range(4, 301), 990, 1155, 2310, 3002, 4106])

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from form_ops import form_add, form_scale
 from fraction_rref import fraction_rref
+from rref_rows import integer_matrix, rational_rref, stack_forms
 from symfreq import linalg
 from symfreq.linalg import (
     LinearForm,
@@ -15,13 +16,17 @@ from symfreq.linalg import (
     U_SPACE,
     form_from_json,
     form_to_json,
-    rat_from_str,
     rat_to_str,
+    ratio_from_str,
     rref,
-    stack_forms,
 )
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def rat_from_str(s: str) -> F:
+    """The rational of a wire string, as `ratio_from_str` reads it."""
+    return F(*ratio_from_str(s))
 
 
 def test_rational_wire_format():
@@ -57,9 +62,9 @@ def test_rat_from_str_is_fraction_of_the_stripped_string(s):
 class TestLinearForm:
     def test_lengths_and_ranges(self):
         f = LinearForm(S_SPACE, 8, (F(1), F(0), F(2)))
-        assert f.first_index == 1 and f.last_index == 3
+        assert f.first_index == 1
         u = LinearForm(U_SPACE, 8, (F(1), F(0), F(2)))
-        assert u.first_index == 2 and u.last_index == 4
+        assert u.first_index == 2
         with pytest.raises(ValueError):
             LinearForm(S_SPACE, 8, (F(1),))
         with pytest.raises(ValueError):
@@ -128,7 +133,7 @@ def test_forms_store_integers_over_one_denominator(m, space, integral, k, data):
         forms.append(LinearForm(space, m, np.array([int(c) for c in vals], dtype=np.int64)))
     for form in forms:
         assert form == forms[0] and hash(form) == hash(forms[0])
-        assert (form.den, form.nums) == form.integer_coeffs() == expect
+        assert (form.den, form.nums) == expect
         assert all(type(x) is int for x in form.nums)
         assert math.gcd(form.den, *form.nums) == 1
         assert form.coeffs == tuple(vals) and all(type(c) is F for c in form.coeffs)
@@ -177,22 +182,26 @@ def test_form_json_malformed():
         form_from_json({"m": 27, "space": "U"})
     with pytest.raises(ValueError):
         form_from_json({"m": 27, "space": "U", "coeffs": {"2": "zz"}})
+    # "2" and "02" name one index: refused, not summed or overwritten
+    for coeffs in ({"2": "1", "02": "1"}, {"3": "1", " 3": "-1"}, {"1": "1", "01": "2"}):
+        with pytest.raises(ValueError, match="twice"):
+            form_from_json({"m": 27, "space": "U", "coeffs": coeffs})
 
 
 class TestRref:
     def test_identity(self):
-        r = rref([[1, 0], [0, 1]])
+        r = rational_rref([[1, 0], [0, 1]])
         assert r.rows == ((1, 0), (0, 1)) and r.pivots == (0, 1) and r.rank == 2
 
     def test_proportional_rows(self):
-        r = rref([[1, 2], [2, 4]])
+        r = rational_rref([[1, 2], [2, 4]])
         assert r.rank == 1
         assert r.rows == ((F(1), F(2)), (F(0), F(0)))
 
     def test_full_rank_3x3(self):
         # determinant of the circulant [[1,1,0],[0,1,1],[1,0,1]] is 2, so the
         # reduced form is the identity
-        r = rref([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        r = rational_rref([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         assert r.rank == 3 and r.pivots == (0, 1, 2)
         assert r.rows == (
             (F(1), F(0), F(0)),
@@ -201,8 +210,32 @@ class TestRref:
         )
 
     def test_empty(self):
-        r = rref([])
+        r = rational_rref([])
         assert r.rank == 0 and r.pivots == ()
+        for shape in ((0, 0), (0, 3), (2, 0)):
+            r = rref(np.zeros(shape, dtype=np.int64))
+            assert (r.rank, r.pivots, r.nums, r.dens) == (0, (), [], []), shape
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            [[F(1, 2), F(1)], [F(3), F(4)]],  # a row list, even of Fractions
+            np.array([[1.0, 2.0], [3.0, 4.0]]),
+            np.array([1, 2, 3], dtype=np.int64),
+            np.array([[1, 2], [3, 4]], dtype=np.int32),
+            np.array([[1, F(1, 2)]], dtype=object),
+            np.array([[1, np.int64(2)]], dtype=object),
+            np.array([[True, False]]),
+        ],
+    )
+    def test_takes_only_a_2d_integer_matrix(self, mat):
+        with pytest.raises(ValueError):
+            rref(mat)
+
+    def test_int64_and_python_ints_agree(self):
+        rows = [[2, 4, 6], [1, 3, 7], [3, 7, 13]]
+        a, b = rref(np.array(rows, dtype=np.int64)), rref(np.array(rows, dtype=object))
+        assert a == b and a.pivots == (0, 1) and a.nums == [[1, 0, -5], [0, 1, 4]] and a.dens == [1, 1]
 
     @given(
         st.lists(
@@ -213,8 +246,8 @@ class TestRref:
     )
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, rows):
-        first = rref(rows)
-        again = rref(first.rows)
+        first = rational_rref(rows)
+        again = rational_rref(first.rows)
         assert again.rows == first.rows
         assert again.pivots == first.pivots
 
@@ -227,7 +260,7 @@ class TestRref:
     )
     @settings(max_examples=60, deadline=None)
     def test_rank_of_transpose(self, rows):
-        assert rref(rows).rank == rref(list(zip(*rows))).rank
+        assert rational_rref(rows).rank == rational_rref(list(zip(*rows))).rank
 
     @given(
         st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3),
@@ -249,7 +282,7 @@ class TestRref:
             elif i != j:
                 c = F(rng.randint(-4, 4))
                 ops[i] = [x + c * y for x, y in zip(ops[i], ops[j])]
-        assert rref(ops).rows == rref(rows).rows
+        assert rational_rref(ops).rows == rational_rref(rows).rows
 
 
 def test_stack_forms():
@@ -303,7 +336,7 @@ class TestModularRref:
     @given(matrices())
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_oracle(self, rows):
-        r = rref(rows)
+        r = rational_rref(rows)
         oracle_rows, oracle_pivots = fraction_rref(rows)
         assert r.rows == oracle_rows and r.pivots == oracle_pivots
         assert r.rank == len(oracle_pivots)
@@ -315,7 +348,7 @@ class TestModularRref:
         p = next(linalg._primes())
         rows = [[1, 2, 3], [1, 2 + p, 5]]
         seen = spy_primes(monkeypatch)
-        r = rref(rows)
+        r = rational_rref(rows)
         assert (r.rows, r.pivots) == fraction_rref(rows)
         assert r.rows[0][2] == 3 - F(4, p)
         assert seen[0] == (p, (0, 2)) and seen[1][1] == (0, 1)
@@ -324,7 +357,7 @@ class TestModularRref:
         # 100003/7 lies outside one prime's reconstruction range (|a|, b <= 2^15)
         rows = [[7, 100003, 1], [2, 5, 9]]
         seen = spy_primes(monkeypatch)
-        r = rref(rows)
+        r = rational_rref(rows)
         assert (r.rows, r.pivots) == fraction_rref(rows)
         assert max(abs(x.numerator) for row in r.rows for x in row) > 2**16
         assert len(seen) >= 2 and len({piv for _, piv in seen}) == 1
@@ -338,7 +371,7 @@ class TestModularRref:
 
         monkeypatch.setattr(linalg, "_verified", refuse)
         with pytest.raises(ArithmeticError):
-            rref([[1, 2], [3, 4]])
+            rational_rref([[1, 2], [3, 4]])
         assert len(calls) >= 2  # more primes were tried before giving up
 
     def test_reduction_out_of_shape_is_never_returned(self, monkeypatch):
@@ -353,7 +386,7 @@ class TestModularRref:
 
         monkeypatch.setattr(linalg, "_echelon_mod", corrupt)
         with pytest.raises(ArithmeticError):
-            rref([[1, 0, 1], [0, 1, 1]])
+            rational_rref([[1, 0, 1], [0, 1, 1]])
 
     def test_containment_refused_in_floats_and_in_packed_ints(self):
         # an echelon form off by one in a free column is refused, whether the
@@ -370,7 +403,7 @@ class TestModularRref:
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
-            rref([[1, 2], [3]])
+            rational_rref([[1, 2], [3]])
 
 
 class TestCertifyNonsingular:

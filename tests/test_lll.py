@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gram_schmidt import gram_schmidt_check
+from rref_rows import rational_rref
 from symfreq.lll import lll_reduce
-from symfreq.linalg import rref
 
 
 def gram_det(rows):
@@ -33,7 +33,7 @@ def in_lattice(vec, basis_rows):
     """Whether vec is an integer combination of the basis rows."""
     cols = len(basis_rows[0])
     aug = [[F(basis_rows[r][c]) for r in range(len(basis_rows))] + [F(vec[c])] for c in range(cols)]
-    res = rref(aug)
+    res = rational_rref(aug)
     n = len(basis_rows)
     sol = [F(0)] * n
     for i, p in enumerate(res.pivots):

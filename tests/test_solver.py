@@ -9,11 +9,12 @@ from closed_form import closed_form_count
 from form_ops import form_add, form_scale
 from fraction_rref import fraction_rref
 from identity_oracle import identity_forms, identity_table
+from rref_rows import stack_forms
 from symfreq.balls import PrecisionContext
 from symfreq.intmath import euler_phi, factorize, is_prime
 from symfreq.cyclotomic import scaled_exponents, verify_u_relation
 from symfreq.frequencies import evaluate_form
-from symfreq.linalg import LinearForm, RrefResult, S_SPACE, U_SPACE, rref, stack_forms
+from symfreq.linalg import LinearForm, RrefResult, S_SPACE, U_SPACE, rref
 from symfreq import cyclotomic, relations, solver
 from symfreq.relations import (
     RelationSpace,
@@ -459,7 +460,7 @@ class TestScan:
 
         def short(rows):
             ech = real(rows)
-            return RrefResult(ech.pivots[:-1], ech.nums[:-1], ech.dens[:-1], ech.shape)
+            return RrefResult(ech.pivots[:-1], ech.nums[:-1], ech.dens[:-1])
 
         monkeypatch.setattr(relations, "rref", short)
         with pytest.raises(ArithmeticError):
