@@ -2,7 +2,7 @@
 
 A `RealBall` is the interval [lo, hi] / 2^F for integers lo <= hi, the
 format in which the integer fixed-point kernels below bound pi, ln 2, sin
-and log2 (the exact-integer balls of Arb; Johansson, IEEE Trans. Computers
+and ln (the exact-integer balls of Arb; Johansson, IEEE Trans. Computers
 66, 2017).  Its `prec` is the number of bits it is printed at; `mid` and
 `rad` are exact Fractions.  Invariant maintained by every operation: the
 represented true value lies inside [lo, hi] / 2^F.
@@ -155,38 +155,45 @@ def ball_scale_2exp(a: RealBall, e: int) -> RealBall:
 # ----------------------------------------------------------------------
 # Integer fixed-point kernels
 #
-# The package's only code for pi, ln 2, sin and log2.  Each kernel returns
-# integers lo <= 2^F v <= hi for its value v, in units of 2^-F where the
-# caller picks F: the balls below call them with guard bits, and any other
-# integer bound (such as a table of log2|2 sin|) can call them at its own F.
+# The package's only code for pi, ln 2, sin and ln: the Taylor series of sin
+# and the arctan/atanh series of `_arc_sum`.  Each kernel returns integers
+# lo <= 2^F v <= hi for its value v, in units of 2^-F where the caller picks
+# F: the balls below call them with guard bits, and any other integer bound
+# (such as a table of log2|2 sin|) can call them at its own F.
 
 #: Extra fractional bits with which the balls call the kernels.
 _KERNEL_GUARD = 16
 
 
-def _arc_sum(k: int, F: int, sign: int) -> tuple[int, int]:
-    """S and N with |S - 2^F f(1/k)| < N + 2, for an integer k >= 3.
+def _arc_sum(s: int, t: int, F: int, sign: int) -> tuple[int, int]:
+    """lo <= 2^F f(s/t) <= hi for integers 0 <= 3s <= t and F >= 4.
 
-    f is arctan for sign = -1 and atanh for sign = 1, summed as
-    sum_i sign^i / ((2i+1) k^(2i+1)) in floored terms until one is zero,
-    N terms in all.  Each floor loses under one unit, and the tail after a
-    term below one unit is below 9/8 units: alternating and decreasing for
-    arctan, geometric with ratio at most 1/9 for atanh.
+    f is arctan for sign = -1 and atanh for sign = 1: the sum of
+    sign^n z^(2n+1) / (2n+1), z = s/t.  2^F z^(2n+1) is carried as a floored
+    and a ceiled chain, each step multiplying by the floored or ceiled
+    2^F z^2 and shifting; the carried error stays under 2 units, as each
+    step shrinks it by z^2 + 2^-F < 1/5 and adds under 1 + z, so each term
+    is off by under 3 units on either side.  The sum stops once the ceiled
+    chain reaches 1, after N <= F / (2 log2(1/z)) + 2 terms; the tail is
+    then under 1 unit in size for arctan (alternating, decreasing) and under
+    9/8 units for atanh (ratio at most 1/9).  Hence hi - lo < 6N + 3.
     """
-    total = 0
-    n = 0
-    den = k
-    while True:
-        term = (1 << F) // ((2 * n + 1) * den)
-        if not term:
-            return total, n
-        total += -term if sign < 0 and n & 1 else term
-        den *= k * k
-        n += 1
+    z2 = (s * s) << F
+    z2_lo, z2_hi = z2 // (t * t), -(-z2 // (t * t))
+    p_lo, p_hi = (s << F) // t, -(-(s << F) // t)
+    lo = hi = 0
+    k = 1
+    while p_hi > 1:
+        a, b = p_lo // k, -(-p_hi // k)
+        lo, hi = (lo - b, hi - a) if sign < 0 and k & 2 else (lo + a, hi + b)
+        p_lo = p_lo * z2_lo >> F
+        p_hi = -(-(p_hi * z2_hi) >> F)
+        k += 2
+    return lo - 1, hi + 2
 
 
 def _outward(lo: int, hi: int, shift: int) -> tuple[int, int]:
-    """Bounds in units of 2^shift times larger, rounded outward."""
+    """Bounds in units of 2^shift times larger, rounded outward; at most 2 apart if hi - lo < 2^shift."""
     return lo >> shift, -(-hi >> shift)
 
 
@@ -194,23 +201,47 @@ def _outward(lo: int, hi: int, shift: int) -> tuple[int, int]:
 def pi_fixed(F: int) -> tuple[int, int]:
     """lo <= 2^F pi <= hi with hi - lo <= 2.
 
-    Machin's pi = 16 arctan(1/5) - 4 arctan(1/239), summed with g guard
-    bits: the error there, about 3.5 (F + g) units, is under 2^(g-1), so
-    the outward rounding to F bits leaves a width of at most 2.
+    Machin's pi = 16 arctan(1/5) - 4 arctan(1/239) with g = F.bit_length() + 8
+    guard bits: by `_arc_sum` its width is under 23 (F + g) + 300 < 2^g units
+    for F >= 2.
     """
     g = F.bit_length() + 8
-    a, na = _arc_sum(5, F + g, -1)
-    b, nb = _arc_sum(239, F + g, -1)
-    mid, err = 16 * a - 4 * b, 16 * (na + 2) + 4 * (nb + 2)
-    return _outward(mid - err, mid + err, g)
+    a_lo, a_hi = _arc_sum(1, 5, F + g, -1)
+    b_lo, b_hi = _arc_sum(1, 239, F + g, -1)
+    return _outward(16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo, g)
 
 
 @lru_cache(maxsize=None)
 def ln2_fixed(F: int) -> tuple[int, int]:
-    """lo <= 2^F ln 2 <= hi with hi - lo <= 2, from ln 2 = 2 atanh(1/3)."""
+    """lo <= 2^F ln 2 <= hi with hi - lo <= 2, from ln 2 = 2 atanh(1/3).
+
+    With g = F.bit_length() + 8 guard bits the width is under 4 (F + g) + 30 < 2^g units.
+    """
     g = F.bit_length() + 8
-    a, n = _arc_sum(3, F + g, 1)
-    return _outward(2 * (a - n - 2), 2 * (a + n + 2), g)
+    lo, hi = _arc_sum(1, 3, F + g, 1)
+    return _outward(2 * lo, 2 * hi, g)
+
+
+def ln_fixed(y: int, F: int) -> tuple[int, int]:
+    """lo <= 2^F ln(y / 2^F) <= hi with hi - lo <= 2, for integers y >= 1 and F >= 0.
+
+    With 2^e the power of 2 that puts y / 2^e in [2/3, 4/3),
+    ln(y / 2^F) = (e - F) ln 2 + 2 atanh(z), z = (y - 2^e) / (y + 2^e), and
+    |z| <= 1/5 (Brent, J. ACM 23, 1976).  With M = max(F, |e - F|) and
+    g = M.bit_length() + 8 guard bits, twice the atanh sum is under
+    2.7 (F + g) + 30 units wide by `_arc_sum` and e - F times ln 2 under 2M,
+    so the sum is under 2^g units wide and rounds to at most 2.
+    """
+    e = y.bit_length() - 1
+    if 3 * y >= 4 << e:
+        e += 1
+    k = e - F
+    g = max(F, abs(k)).bit_length() + 8
+    lo, hi = _arc_sum(abs(y - (1 << e)), y + (1 << e), F + g, 1)
+    if y < 1 << e:
+        lo, hi = -hi, -lo
+    ln2 = ln2_fixed(F + g)
+    return _outward(2 * lo + k * ln2[k < 0], 2 * hi + k * ln2[k >= 0], g)
 
 
 def sin_fixed(x: int, F: int) -> tuple[int, int]:
@@ -244,42 +275,6 @@ def sin_fixed(x: int, F: int) -> tuple[int, int]:
         k += 2
 
 
-def log2_fixed(y: int, F: int, bits: int) -> tuple[int, int]:
-    """lo <= 2^bits log2(y / 2^F) <= hi = lo + 2, for integers y >= 1 and F >= bits + 3.
-
-    By repeated squaring: with y / 2^F = 2^e x and x in [1, 2), each
-    squaring of x yields the next binary digit of log2 x.  Every rounding
-    is upward, which keeps e + (digits + log2 x) / 2^k an upper bound, and
-    x <= 2 throughout, so adding one unit at the end covers the digits not
-    taken.  The roundings, each at most log2(1 + 2^-F) on a digit of weight
-    2^-k, raise that bound by under 4 2^-F in all, half a unit of 2^-bits,
-    so 2 units below hi is a lower bound.
-    """
-    e = y.bit_length() - 1 - F
-    x = y << -e if e < 0 else -(-y >> e)
-    two = 2 << F
-    digits = 0
-    for _ in range(bits):
-        x = -(-(x * x) >> F)
-        digits <<= 1
-        if x >= two:
-            x = -(-x >> 1)
-            digits |= 1
-    hi = (e << bits) + digits + 1
-    return hi - 2, hi
-
-
-def _log2_bounds(x: RealBall, bits: int) -> tuple[int, int]:
-    """lo <= 2^bits log2 v <= hi for every v in a strictly positive ball.
-
-    The ends of the ball are y / 2^F with F >= bits + 3, as the kernel
-    needs, and exact.
-    """
-    F = max(x.F, bits + 3)
-    shift = F - x.F
-    return log2_fixed(x.lo << shift, F, bits)[0], log2_fixed(x.hi << shift, F, bits)[1]
-
-
 # ----------------------------------------------------------------------
 # Constants and elementary functions
 
@@ -297,25 +292,12 @@ def ln2_ball(ctx: PrecisionContext) -> RealBall:
 
 
 def ln_ball(x: RealBall, prec: int) -> RealBall:
-    """Natural logarithm of a strictly positive ball, as ln 2 log2."""
+    """ln of a strictly positive ball: `ln_fixed` at lo, and ln hi <= ln lo + (hi - lo) / lo."""
     if not x.is_positive():
         raise ValueError("ln of a ball that is not strictly positive")
-    bits = prec + _KERNEL_GUARD
-    lo, hi = _log2_bounds(x, bits)
-    # ln 2 carries as many bits as log2 x, so the products lose under a unit
-    F = max(bits, max(-lo, hi).bit_length() + 2)
-    ln2_lo, ln2_hi = ln2_fixed(F)
-    lo *= ln2_hi if lo < 0 else ln2_lo
-    hi *= ln2_lo if hi < 0 else ln2_hi
-    return RealBall(*_outward(lo, hi, F), bits, prec)
-
-
-def log2_ball(x: RealBall, ctx: PrecisionContext) -> RealBall:
-    """Base-2 logarithm of a strictly positive ball."""
-    if not x.is_positive():
-        raise ValueError("log2 of a ball that is not strictly positive")
-    bits = ctx.wp + _KERNEL_GUARD
-    return RealBall(*_log2_bounds(x, bits), bits, ctx.prec)
+    F = max(x.F, prec + _KERNEL_GUARD)
+    lo, hi = ln_fixed(x.lo << (F - x.F), F)
+    return RealBall(lo, hi - (-((x.hi - x.lo) << F) // x.lo), F, prec)
 
 
 def sin_pi_rational(a: int, b: int, ctx: PrecisionContext) -> RealBall:

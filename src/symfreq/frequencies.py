@@ -63,9 +63,9 @@ def h_value(m: int, d: int, ctx: PrecisionContext) -> RealBall:
 
 @lru_cache(maxsize=None)
 def log2_sine(r: int, m: int, wp: int) -> RealBall:
-    """L(r, m) = log2 sin(pi r/m) at working precision wp, cached per entry."""
+    """L(r, m) = log2 sin(pi r/m) = ln sin(pi r/m) / ln 2 at working precision wp, cached per entry."""
     ctx = PrecisionContext(wp, 0)
-    return balls.log2_ball(balls.sin_pi_rational(r, m, ctx), ctx)
+    return balls.ball_div(balls.ln_ball(balls.sin_pi_rational(r, m, ctx), wp), balls.ln2_ball(ctx))
 
 
 def _value_coeffs(space: str, m: int, index: int) -> dict[int, int]:

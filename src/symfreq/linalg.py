@@ -213,6 +213,10 @@ def form_from_json(obj: Mapping) -> LinearForm:
             # keys such as "2" and "02" name one index twice
             twice = Counter(k for k, _ in ratios).most_common(1)[0][0]
             raise ValueError(f"index {twice} appears twice")
+        # int() also reads " 6", "+3", "1_0" and non-ASCII digits
+        odd = [k for k in obj["coeffs"] if not (k.isascii() and k.isdigit())]
+        if odd:
+            raise ValueError(f"index {odd[0]!r} is not written in ASCII digits")
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed relation object: {exc}") from exc
     return LinearForm._from_ratios(space, m, ratios)

@@ -137,9 +137,10 @@ def discover_relations(m: int, precision: int = 256, bound: int = 10**6) -> Disc
     precision is the ball precision used for the lattice; the scaling
     exponent is precision - 64.  A candidate row surviving LLL goes on only
     when its residual ball sum(c_k U_k), at that precision, contains 0; the
-    smallest norm of the rejected rows is reported as evidence.  Every
-    accepted relation passed verify_u_relation, and a warning is raised only
-    when a candidate whose ball contains 0 fails it.
+    smallest norm of the rejected rows within `bound` is reported as
+    evidence.  Every accepted relation passed verify_u_relation, and a
+    warning is raised only when a candidate whose ball contains 0 fails it
+    or is skipped for a coefficient above `bound`.
     """
     if m < 4:
         raise ValueError("discovery needs m >= 4")
@@ -156,6 +157,7 @@ def discover_relations(m: int, precision: int = 256, bound: int = 10**6) -> Disc
     verified: list[LinearForm] = []
     warnings: list[str] = []
     min_rejected = math.inf
+    over_bound = False
     passes = 0
     while True:
         passes += 1
@@ -178,14 +180,17 @@ def discover_relations(m: int, precision: int = 256, bound: int = 10**6) -> Disc
             resid = row[-1]
             if not any(coeffs):
                 continue
-            if max(map(abs, coeffs)) > bound:
-                continue
             form = LinearForm.from_map(U_SPACE, m, dict(zip(free, coeffs)))
             if form.is_zero():
                 continue
+            within = max(map(abs, coeffs)) <= bound
             if not frequencies.evaluate_form(form, ctx).contains_zero():
                 # the ball holds the exact value sum c_k U_k, so it is not 0
-                min_rejected = min(min_rejected, _row_norm(coeffs, resid, shift))
+                if within:
+                    min_rejected = min(min_rejected, _row_norm(coeffs, resid, shift))
+                continue
+            if not within:
+                over_bound = True  # possibly a relation, but beyond the bound
                 continue
             trial = verified + [form]
             if rref(np.array([f.nums for f in trial], dtype=object)).rank != len(trial):
@@ -202,6 +207,11 @@ def discover_relations(m: int, precision: int = 256, bound: int = 10**6) -> Disc
             )
         if not found_new:
             break
+    if over_bound:
+        warnings.append(
+            f"candidates at m={m} had residual balls containing 0 but a coefficient above "
+            f"the bound {bound}; consider raising the bound"
+        )
 
     basis = RelationBasis(m, U_SPACE, tuple(verified), "discovered")
     evidence = {

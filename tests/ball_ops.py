@@ -1,4 +1,4 @@
-"""Ball membership, overlap, products and log2 of a rational, for the tests.
+"""Ball membership, overlap, products and log2, for the tests.
 
 The package never multiplies two balls or asks whether a ball holds a given
 rational; the tests do, to check the balls it prints.
@@ -11,8 +11,10 @@ from symfreq.balls import (
     RealBall,
     _aligned,
     _outward,
+    ball_div,
     ball_from_fraction,
-    log2_ball,
+    ln2_ball,
+    ln_ball,
 )
 
 
@@ -34,8 +36,13 @@ def ball_mul(a: RealBall, b: RealBall) -> RealBall:
     return RealBall(lo, hi, max(a.F, b.F), min(a.prec, b.prec))
 
 
+def log2_of_ball(x: RealBall, ctx: PrecisionContext) -> RealBall:
+    """log2 x = ln x / ln 2, as `frequencies.log2_sine` computes it."""
+    return ball_div(ln_ball(x, ctx.wp), ln2_ball(ctx))
+
+
 def log2_of_fraction(q, ctx: PrecisionContext) -> RealBall:
     q = Fraction(q)
     if q <= 0:
         raise ValueError("log2 of a nonpositive rational")
-    return log2_ball(ball_from_fraction(q, ctx.wp), ctx)
+    return log2_of_ball(ball_from_fraction(q, ctx.wp), ctx)

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from split_prime_oracle import _products_agree, claim_sides
-from symfreq.balls import log2_fixed, pi_fixed, sin_fixed
+from symfreq.balls import ln2_fixed, ln_fixed, pi_fixed, sin_fixed
 
 #: Entries of the log-sine table are in units of 2^-LOG_UNIT_BITS bits.
 LOG_UNIT_BITS = 20
@@ -35,14 +35,18 @@ def log_sine_table(n: int) -> tuple[int, ...]:
     never read.  The `balls` kernels compute it in units of 2^-64.  Folded
     to r <= n/2, pi r/n lies in (0, pi/2]; its upper bound
     X = ceil(pi_hi r/n) / 2^64 exceeds it by under 2^-62, far less than the
-    gap pi/(2n) to pi/2 when 2r < n, so sin(X) >= sin(pi r/n) there.
+    gap pi/(2n) to pi/2 when 2r < n, so sin(X) >= sin(pi r/n) there.  With
+    ln_hi the upper end of 2^64 ln|2 sin|, the entry is
+    ceil(2^20 ln_hi / ln2), dividing by the lower end of 2^64 ln 2 when
+    ln_hi >= 0 and by its upper end otherwise.
     """
     one = 1 << 64
     pi_hi = pi_fixed(64)[1]
     half = [0]
     for r in range(1, n // 2 + 1):
         s = one if 2 * r == n else min(sin_fixed(-(-pi_hi * r // n), 64)[1], one)
-        half.append(log2_fixed(2 * s, 64, LOG_UNIT_BITS)[1])
+        ln_hi = ln_fixed(2 * s, 64)[1]
+        half.append(-((-ln_hi << LOG_UNIT_BITS) // ln2_fixed(64)[ln_hi < 0]))
     return tuple(half + half[(n - 1) // 2 : 0 : -1])
 
 

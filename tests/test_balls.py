@@ -25,7 +25,6 @@ from symfreq.balls import (
     bernoulli_number,
     lgamma_ball,
     ln_ball,
-    log2_ball,
     pi_ball,
     sin_pi_rational,
 )
@@ -142,11 +141,27 @@ KERNEL_F = (64, 300, 1100)
 
 
 class TestKernels:
-    """The integer kernels bound pi, ln 2, sin and log2 in units of 2^-F.
+    """The integer kernels bound arctan/atanh, pi, ln 2, sin and ln in units of 2^-F.
 
-    Each is checked against mpmath at 2F + 64 bits: lo <= 2^F v <= hi, and
-    hi - lo is a few units.
+    Each is checked against mpmath at 2F + 64 bits or more: lo <= 2^F v <= hi,
+    and hi - lo is a few units.
     """
+
+    @pytest.mark.parametrize("F", KERNEL_F)
+    @pytest.mark.parametrize("sign", (-1, 1))
+    def test_arc_sum(self, F, sign):
+        # random rationals 0 < s/t <= 1/3; the width grows by about a unit
+        # per term, and there are at most F / log2(9) + 2 of them
+        rng = random.Random(F * sign)
+        with mpmath.workprec(2 * F + 64):
+            for _ in range(40):
+                t = rng.randint(3, 10 ** rng.randint(1, 40))
+                s = rng.randint(1, t // 3)
+                lo, hi = balls._arc_sum(s, t, F, sign)
+                z = mpmath.mpf(s) / t
+                ref = mpmath.ldexp(mpmath.atan(z) if sign < 0 else mpmath.atanh(z), F)
+                assert lo <= ref <= hi, (s, t)
+                assert hi - lo <= F // 2 + 8
 
     @pytest.mark.parametrize("F", KERNEL_F)
     def test_pi(self, F):
@@ -182,17 +197,43 @@ class TestKernels:
                 assert balls.sin_fixed(bottom, F)[0] <= ref <= balls.sin_fixed(top, F)[1], (a, b)
 
     @pytest.mark.parametrize("F", KERNEL_F)
-    def test_log2(self, F):
-        # y spans 2^-F..2^F; bits = 20 at F = 64 is the log-sine table's case
+    def test_ln(self, F):
+        # y spans 2^-F..2^F, with the ends of the reduction interval
+        # [2/3, 4/3) and the powers of 2 around them
+        rng = random.Random(F)
+        one = 1 << F
+        ys = [rng.randint(1, 1 << rng.randint(1, 2 * F)) for _ in range(40)]
+        ys += [1, one - 1, one, one + 1, 2 * one // 3, 4 * one // 3, (4 * one - 1) // 3, 1 << 2 * F]
+        with mpmath.workprec(2 * F + 64):
+            for y in ys:
+                lo, hi = balls.ln_fixed(y, F)
+                assert lo <= mpmath.ldexp(mpmath.log(mpmath.ldexp(y, -F)), F) <= hi, y
+                assert hi - lo <= 2
+
+    @pytest.mark.parametrize("F", KERNEL_F)
+    def test_ln_ball_contains_both_ends(self, F):
+        # random positive balls up to 2^(F/2) units wide, printed at F - 16
+        # bits so that the kernel runs at their own scale F
         rng = random.Random(F)
         with mpmath.workprec(2 * F + 64):
-            for bits in {F - 3, 20}:
-                for _ in range(30):
-                    y = rng.randint(1, 1 << rng.randint(1, 2 * F))
-                    lo, hi = balls.log2_fixed(y, F, bits)
-                    ref = mpmath.ldexp(mpmath.log(mpmath.ldexp(y, -F), 2), bits)
-                    assert lo <= ref <= hi, (y, bits)
-                    assert hi - lo <= 2
+            for _ in range(30):
+                lo = rng.randint(1, 1 << rng.randint(1, 2 * F))
+                x = RealBall(lo, lo + rng.randint(0, 1 << F // 2), F, F)
+                ball = ln_ball(x, F - 16)
+                assert ball.F == F
+                for end in (x.lo, x.hi):
+                    ref = mpmath.log(mpmath.ldexp(end, -F))
+                    assert contains_mpf(ball, ref), (x, end)
+
+    def test_ln_ball_calls_the_kernel_once(self, monkeypatch):
+        calls = []
+        kernel = balls.ln_fixed
+        monkeypatch.setattr(balls, "ln_fixed", lambda y, F: calls.append(y) or kernel(y, F))
+        x = ball_from_fraction(F(97, 30), 300)
+        ball = ln_ball(x, 300)
+        assert calls == [x.lo << ball.F - x.F]
+        with mpmath.workprec(400):
+            assert contains_mpf(ball, mpmath.log(mpmath.mpf(97) / 30))
 
 
 class TestPi:
@@ -272,7 +313,7 @@ class TestLogs:
         with pytest.raises(ValueError):
             log2_of_fraction(F(0), ctx)
         with pytest.raises(ValueError):
-            log2_ball(RealBall(-1, 3, 0, 64), ctx)
+            ln_ball(RealBall(-1, 3, 0, 64), 64)
 
     def test_against_mpmath_oracle(self):
         rng = random.Random(5)

@@ -240,6 +240,20 @@ class TestVerify:
         code, _ = run_cli("verify", "--m", "27", "--relations", str(f))
         assert code == EXIT_VERIFY_FAILED
 
+    def test_index_keys_must_be_ascii_digits(self, run_cli, tmp_path, capsys):
+        # int() would read these as U_10, U_3, U_4 and U_6: each key is
+        # refused as input (exit 2), alone and together
+        f = tmp_path / "keys.json"
+        keys = {"1_0": "1", "+3": "2", "\uff14": "5", " 6": "1"}
+        for coeffs in [keys] + [{k: v} for k, v in keys.items()]:
+            f.write_text(json.dumps({"m": 27, "space": "U", "coeffs": coeffs}))
+            code, out = run_cli("verify", "--m", "27", "--relations", str(f))
+            assert code == EXIT_USAGE and out == "", coeffs
+            assert "not written in ASCII digits" in capsys.readouterr().err
+        f.write_text(json.dumps({"m": 27, "space": "U", "coeffs": {"10": "1", "3": "2", "4": "5", "6": "1"}}))
+        code, _ = run_cli("verify", "--m", "27", "--relations", str(f))
+        assert code == EXIT_VERIFY_FAILED
+
     def test_modulus_mismatch(self, run_cli, tmp_path):
         f = tmp_path / "wrong.json"
         f.write_text(json.dumps(form_to_json(u_basis(27).forms[0])))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ball_ops import log2_of_ball
 from conductor_table import conductor_check_matrix, conductor_table
 from cyclo_oracle import (
     CycloFraction,
@@ -223,7 +224,7 @@ class TestLogSineTable:
         ctx = balls.PrecisionContext(128)
         table = norm_certificate.log_sine_table(n)
         for r in range(1, n):
-            ball = balls.log2_ball(balls.ball_mul_int(balls.sin_pi_rational(r, n, ctx), 2), ctx)
+            ball = log2_of_ball(balls.ball_mul_int(balls.sin_pi_rational(r, n, ctx), 2), ctx)
             assert (ball.mid + ball.rad) * 2**20 <= table[r] <= (ball.mid - ball.rad) * 2**20 + 4, (n, r)
 
 

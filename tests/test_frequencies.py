@@ -30,6 +30,19 @@ class TestHValue:
             total = balls.ball_add(total, h_value(3, d, CTX))
         assert contains_fraction(total, 1)
 
+    @pytest.mark.parametrize("prec", (128, 1024))
+    @pytest.mark.parametrize("m", (4, 5, 12, 97))
+    def test_all_residues_telescope_to_one(self, m, prec):
+        # with G(a) = ln Gamma(a/m), sum_d (G(d) + G(d+2) - 2 G(d+1)) is
+        # G(m+2) - G(m+1) - G(2) + G(1) = ln 2, since Gamma(1+x) = x Gamma(x):
+        # an exact identity, through the Pochhammer logarithms at every d
+        ctx = PrecisionContext(prec)
+        total = balls.ball_from_fraction(0, ctx.wp)
+        for d in range(1, m + 1):
+            total = balls.ball_add(total, h_value(m, d, ctx))
+        assert contains_fraction(total, 1)
+        assert total.rad <= F(m, 2**prec)
+
     def test_inhomogeneous_identity_m12(self):
         ctx = PrecisionContext(256)
         acc = h_value(12, 1, ctx)

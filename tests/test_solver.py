@@ -236,6 +236,15 @@ class TestDiscovery:
         assert rep.evidence["passes"] >= 1
         assert rep.evidence["min_rejected_norm"] > 0
 
+    def test_bound_warns_when_it_drops_a_candidate(self):
+        # at m = 12 two of the three relations have a coefficient -2: bound 1
+        # skips them, with a warning, and bound 2 finds the whole space
+        rep = discover_relations(12, 256, 1)
+        assert len(rep.warnings) == 1 and "above the bound 1" in rep.warnings[0]
+        assert rep.empirical_t > expected_t(12)
+        rep = discover_relations(12, 256, 2)
+        assert rep.warnings == () and rep.empirical_t == expected_t(12)
+
     def test_precision_floor(self):
         with pytest.raises(ValueError):
             discover_relations(12, 64)
