@@ -25,7 +25,6 @@ Rounding is outward, so no error term is tracked:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -336,22 +335,22 @@ def sin_pi_rational(a: int, b: int, ctx: PrecisionContext) -> RealBall:
 # log-Gamma
 
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
+@lru_cache(maxsize=None)
+def _stirling_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """B_2k / (2k (2k-1)), k = 1..n, as unreduced pairs (+-T_k, 4^k (4^k - 1)(2k - 1)).
 
-
-def bernoulli_number(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
-    if n < len(_BERNOULLI):
-        return _BERNOULLI[n]
-    with _BERNOULLI_LOCK:
-        while len(_BERNOULLI) <= n:
-            k = len(_BERNOULLI)
-            acc = Fraction(0)
-            for j in range(k):
-                acc += math.comb(k + 1, j) * _BERNOULLI[j]
-            _BERNOULLI.append(-acc / (k + 1))
-    return _BERNOULLI[n]
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) for the tangent numbers T_k
+    (1, 2, 16, 272, ...), which the all-integer in-place recurrence of Brent
+    and Harvey ("Fast computation of Bernoulli, tangent and secant numbers",
+    2011) fills in O(n^2) integer steps.
+    """
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple((t[k] if k % 2 else -t[k], 4**k * (4**k - 1) * (2 * k - 1)) for k in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -364,11 +363,12 @@ def lgamma_ball(a: int, b: int, ctx: PrecisionContext) -> RealBall:
 
     Uses the asymptotic series at the lifted argument w = z + N, with N
     chosen so the series converges to the working precision wp in ~wp/4
-    terms.  Each term B_2k / (2k (2k-1) w^(2k-1)) is exact as a rational
-    and enters the sum floored (lo) and ceiled (hi) in units of 2^-wp.  The
-    sum stops at the first term whose magnitude is at most r <= 1 units,
-    and r units on either side bound the remainder, since for real
-    positive w it is no larger than the first omitted term.
+    terms.  Each term B_2k / (2k (2k-1) w^(2k-1)) is exact as a rational,
+    read from the integer pairs of `_stirling_pairs`, and enters the sum
+    floored (lo) and ceiled (hi) in units of 2^-wp.  The sum stops at the
+    first term whose magnitude is at most r <= 1 units, and r units on
+    either side bound the remainder, since for real positive w it is no
+    larger than the first omitted term.
     The lift is removed by one exact-Pochhammer logarithm:
     ln Gamma(z) = ln Gamma(z+N) - ln(z (z+1) ... (z+N-1)).
     """
@@ -386,9 +386,12 @@ def lgamma_ball(a: int, b: int, ctx: PrecisionContext) -> RealBall:
     num, den = q << wp, p  # 2^wp w^(1-2k) at k = 1
     lo = hi = 0
     k = 1
+    pairs = _stirling_pairs(64)
     while True:
-        coeff = bernoulli_number(2 * k) / ((2 * k) * (2 * k - 1))
-        floor, rest = divmod(coeff.numerator * num, coeff.denominator * den)
+        if k > len(pairs):
+            pairs = _stirling_pairs(2 * len(pairs))
+        c, e = pairs[k - 1]
+        floor, rest = divmod(c * num, e * den)
         r = max(-floor, floor + (rest > 0))  # units above |term|
         if r <= 1:
             break

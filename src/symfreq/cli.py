@@ -106,8 +106,8 @@ def cmd_freq(args, warnings) -> dict:
     indices = [args.index] if args.index is not None else list(range(lo, hi + 1))
     values = []
     for i in indices:
-        fv = frequencies.frequency_value(kind, args.m, i, ctx)
-        values.append({"kind": kind, "index": i, "value": ball_to_json(fv.value)})
+        ball = frequencies.frequency_value(kind, args.m, i, ctx)
+        values.append({"kind": kind, "index": i, "value": ball_to_json(ball)})
     return {"values": values}
 
 

@@ -37,7 +37,7 @@ def ball_mul(a: RealBall, b: RealBall) -> RealBall:
 
 
 def log2_of_ball(x: RealBall, ctx: PrecisionContext) -> RealBall:
-    """log2 x = ln x / ln 2, as `frequencies.log2_sine` computes it."""
+    """log2 x = ln x / ln 2, the division by ln 2 that `frequencies` makes once per value."""
     return ball_div(ln_ball(x, ctx.wp), ln2_ball(ctx))
 
 

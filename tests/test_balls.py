@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ball_exp import exp_ball
 from ball_ops import ball_mul, contains_fraction, log2_of_fraction, overlaps
+from gamma_oracle import bernoulli_number
 from mpf_fraction import mpf_to_fraction
 from symfreq import balls
 from symfreq.balls import (
@@ -22,7 +23,6 @@ from symfreq.balls import (
     ball_neg,
     ball_scale_2exp,
     ball_sub,
-    bernoulli_number,
     lgamma_ball,
     ln_ball,
     pi_ball,
@@ -347,6 +347,14 @@ class TestBernoulli:
         for n in range(0, 62, 2):
             p, q = mpmath.bernfrac(n)
             assert bernoulli_number(n) == F(p, q)
+
+    def test_stirling_pairs_equal_bernoulli_ratios(self):
+        # the tangent-number pairs of lgamma_ball against the Fraction recurrence
+        pairs = balls._stirling_pairs(512)
+        for k in range(1, 401):
+            c, e = pairs[k - 1]
+            assert F(c, e) == bernoulli_number(2 * k) / (2 * k * (2 * k - 1)), k
+        assert balls._stirling_pairs(64) == pairs[:64]
 
 
 class TestLgamma:

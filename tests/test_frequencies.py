@@ -3,8 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from ball_ops import contains_fraction, log2_of_fraction, overlaps
+from gamma_oracle import h_three_lgammas
 from series_oracle import h_series
-from symfreq import balls
+from symfreq import balls, frequencies
 from symfreq.balls import PrecisionContext
 from symfreq.frequencies import (
     evaluate_form,
@@ -53,6 +54,19 @@ class TestHValue:
     def test_strictly_positive(self):
         for m, d in ((5, 3), (12, 11), (12, 12), (7, 7)):
             assert h_value(m, d, CTX).is_positive()
+
+    @pytest.mark.parametrize(
+        "ms, prec",
+        ((range(4, 31), 64), (range(4, 31), 256), ((12, 97), 1024)),
+        ids=("m4..30-64", "m4..30-256", "m12,97-1024"),
+    )
+    def test_equals_the_three_lgamma_oracle(self, ms, prec):
+        # the sum over the cached log-Gamma vector is the same ball, end for end
+        ctx = PrecisionContext(prec)
+        for m in ms:
+            for d in range(1, m + 1):
+                old, new = h_three_lgammas(m, d, ctx), h_value(m, d, ctx)
+                assert (old.lo, old.hi, old.F) == (new.lo, new.hi, new.F), (m, d)
 
     def test_index_errors(self):
         with pytest.raises(ValueError):
@@ -140,8 +154,8 @@ class TestUValue:
 
 
 def test_frequency_value_dispatch():
-    fv = frequency_value("U", 27, 1, CTX)
-    assert fv.kind == "U" and fv.index == 1 and fv.value.rad == 0
+    assert frequency_value("U", 27, 1, CTX).rad == 0
+    assert frequency_value("H", 27, 5, CTX) == h_value(27, 5, CTX)
     with pytest.raises(ValueError):
         frequency_value("Q", 27, 1, CTX)
     assert index_range("H", 12) == (1, 12)
@@ -193,3 +207,22 @@ def test_telescoping_small():
             for d in range(1, half):
                 rhs = balls.ball_add(rhs, balls.ball_mul_int(svals[d], min(d, k)))
             assert overlaps(u_value(m, k + 1, CTX), rhs), (m, k)
+
+
+def test_h_values_share_the_log_gamma_cache(run_cli, monkeypatch):
+    # a full H list at m needs G(1..m+2), one series each; a single value three
+    calls = []
+    real = balls.lgamma_ball
+
+    def spy(a, b, ctx):
+        calls.append((a, b))
+        return real(a, b, ctx)
+
+    monkeypatch.setattr(balls, "lgamma_ball", spy)
+    frequencies.ln_gamma.cache_clear()
+    assert run_cli("freq", "--m", "300", "--kind", "H")[0] == 0
+    assert sorted(calls) == [(a, 300) for a in range(1, 303)]
+    frequencies.ln_gamma.cache_clear()
+    calls.clear()
+    assert run_cli("freq", "--m", "300", "--kind", "H", "--index", "7")[0] == 0
+    assert sorted(calls) == [(7, 300), (8, 300), (9, 300)]
